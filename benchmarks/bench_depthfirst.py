@@ -68,7 +68,7 @@ def bench_model(model: str) -> dict:
 
     # -- fused at stock L2 ---------------------------------------------------
     _, _, fused = _compile(model, dict(check_l2=False, depthfirst="on"))
-    run_fused = Executor(soc, exec_mode="depthfirst").run(fused, feeds)
+    run_fused = Executor(soc, exec_mode="fast").run(fused, feeds)
     if not np.array_equal(run_fused.output, golden):
         raise DepthFirstGateError(
             f"{model}: depth-first output != layer-by-layer")
@@ -92,8 +92,7 @@ def bench_model(model: str) -> dict:
         if not rescued.depthfirst_chains:
             raise DepthFirstGateError(
                 f"{model}: rescue compile adopted no chains")
-        run_rescue = Executor(rsoc, exec_mode="depthfirst").run(
-            rescued, feeds)
+        run_rescue = Executor(rsoc, exec_mode="fast").run(rescued, feeds)
         if not np.array_equal(run_rescue.output, golden):
             raise DepthFirstGateError(f"{model}: rescued run != reference")
         if run_rescue.l2_peak_bytes > tight_l2:

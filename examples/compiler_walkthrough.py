@@ -13,7 +13,7 @@ Run:  python examples/compiler_walkthrough.py
 import numpy as np
 
 from repro import DianaSoC, Executor, HTVM, compile_model
-from repro.dispatch import assign_targets, dispatch_summary
+from repro.mapping import assign_targets, dispatch_summary
 from repro.eval.timeline import render_timeline
 from repro.frontend import import_model
 from repro.ir import graph_to_text

@@ -45,19 +45,8 @@ from .soc import (
 
 __version__ = "1.0.0"
 
-
-def __getattr__(name: str):
-    # `repro.dispatch` is a deprecated alias of `repro.mapping`; import
-    # it lazily so only code that actually reaches for the old name
-    # sees the DeprecationWarning the shim emits.
-    if name == "dispatch":
-        import importlib
-        return importlib.import_module(".dispatch", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
-    "baselines", "codegen", "core", "dispatch", "dory", "eval",
-    "extensions", "frontend",
+    "baselines", "codegen", "core", "dory", "eval", "extensions", "frontend",
     "ir", "mapping", "numerics", "patterns", "runtime", "serve", "soc",
     "transforms",
     "CompilerConfig", "CompiledModel", "HTVM", "HTVM_NAIVE_TILING",

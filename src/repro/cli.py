@@ -22,15 +22,14 @@ persists them across invocations (a warm run skips every DORY search)
 and ``--no-cache`` disables memoization. ``table1``/``fig4`` accept
 ``--jobs N`` to evaluate independent cells/points concurrently.
 
-``run``/``table1``/``fig4`` accept ``--exec-mode
-{tiled,fast,depthfirst,native}``: ``tiled`` simulates every DORY tile
-(the verification mode), ``fast`` computes full layers at once —
-byte-identical outputs, identical cycle counts, much lower wall-clock —
-``depthfirst`` runs the model's fused patch-based chains
-(byte-identical outputs; cycles price the halo recompute), and
-``native`` executes the generated C itself, compiled with the system
-toolchain and cached as a shared library next to the artifact (see
-docs/NATIVE.md; falls back to ``fast`` per step without a compiler).
+``run``/``table1``/``fig4`` accept ``--exec-mode {tiled,fast,native}``:
+``tiled`` simulates every DORY tile (the verification mode), ``fast``
+computes full layers at once — byte-identical outputs, identical cycle
+counts, much lower wall-clock — and ``native`` executes the generated C
+itself, compiled with the system toolchain and cached as a shared
+library next to the artifact (see docs/NATIVE.md; falls back to
+``fast`` per step without a compiler). A model compiled with
+``--depthfirst`` runs its fused chains patch by patch in every mode.
 ``run --batch N`` simulates a batch of inferences through the batched
 runtime. ``pack --prebuild`` compiles the native library at pack time
 so serving hosts just map it.
@@ -990,9 +989,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accelerator simulation path: 'tiled' executes "
                             "every DORY tile (verification mode), 'fast' "
                             "computes full layers with identical outputs "
-                            "and cycle counts, 'depthfirst' runs fused "
-                            "patch-based conv chains, 'native' executes "
-                            "the generated C via a cached shared library "
+                            "and cycle counts, 'native' executes the "
+                            "generated C via a cached shared library "
                             "(default: %(default)s)")
 
     def add_mapping_arg(p, default=None):

@@ -83,9 +83,9 @@ class DepthFirstChain:
     ``[start, start+length)`` are convolution layers whose interiors are
     evaluated patch by patch with halo recompute, so the L2 memory plan
     sizes their intermediate buffers at patch granularity
-    (``per_layer_patch_bytes``) instead of full feature maps. Executed
-    by ``Executor(exec_mode="depthfirst")``; bit-exact vs. layer-by-
-    layer execution, with cycles priced through
+    (``per_layer_patch_bytes``) instead of full feature maps. The
+    executor runs it patch-wise in every ``exec_mode``; bit-exact vs.
+    layer-by-layer execution, with cycles priced through
     :func:`~repro.runtime.cost.accumulate_depthfirst_cost`.
     """
 

@@ -69,7 +69,7 @@ def depthfirst_report(model: str, config: str = "digital",
     base = compile_model(graph, soc, cfg.with_overrides(depthfirst="off"))
     fused = compile_model(graph, soc, cfg.with_overrides(depthfirst=mode))
     feeds = random_inputs(graph, seed=seed + 1)
-    run_df = Executor(soc, exec_mode="depthfirst").run(fused, feeds)
+    run_df = Executor(soc, exec_mode="fast").run(fused, feeds)
     try:
         run_base = Executor(soc, exec_mode="fast").run(base, feeds)
         peak_base, cycles_base = run_base.l2_peak_bytes, run_base.total_cycles

@@ -89,8 +89,8 @@ def deploy(model: str, config: str,
     accelerator layers: ``"tiled"`` (default) executes every DORY tile
     and is the verification mode; ``"fast"`` computes full layers in
     one kernel call with byte-identical outputs and identical cycle
-    counts; ``"depthfirst"`` additionally runs the model's fused
-    patch-based chains (see :class:`~repro.runtime.Executor`).
+    counts; ``"native"`` runs the compiled shared library (see
+    :class:`~repro.runtime.Executor`).
 
     ``mapping`` overrides the configuration's
     ``CompilerConfig.mapping_strategy`` (``"rules"``, ``"greedy"`` or

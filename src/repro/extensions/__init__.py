@@ -5,7 +5,6 @@ defers to future work: depth-first (patch-based) execution as in
 MCUNetV2 [11] / DepFiN [12], and the analog-noise study hooks.
 """
 
-from .depthfirst_exec import run_chain_depth_first, run_chain_layer_by_layer
 from .depthfirst import (
     DepthFirstPlan, analyze_depth_first, chain_from_graph,
     chain_runs_from_steps, chain_savings, conv_chains_from_graph,
@@ -18,5 +17,4 @@ __all__ = [
     "chain_runs_from_steps", "chain_savings", "conv_chains_from_graph",
     "layer_by_layer_peak_bytes", "layer_by_layer_span_bytes",
     "plan_chain_grid", "plan_depthfirst_steps",
-    "run_chain_depth_first", "run_chain_layer_by_layer",
 ]

@@ -9,7 +9,7 @@ recomputing the halo overlap between patches.
 
 HTVM executes layer-by-layer; this module both quantifies what
 depth-first buys on the same workloads and plans *executable* schedules
-for the runtime (``exec_mode="depthfirst"``):
+for the runtime (:func:`~repro.runtime.executor.execute_chain_depth_first`):
 
 * :func:`layer_by_layer_peak_bytes` — HTVM's L2 activation peak for a
   chain (consecutive input+output residency),

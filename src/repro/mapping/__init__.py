@@ -1,10 +1,9 @@
 """Heterogeneous mapping: rules, candidate costing, and global search.
 
-This package grew out of ``repro.dispatch`` (which remains as a
-backwards-compatible alias): the rule checks and the weight-dtype
-selector are unchanged, and a cost-driven engine
-(:mod:`repro.mapping.engine`) now searches the full mapping design
-space on top of them. See DESIGN.md "Layering".
+The rule checks and the weight-dtype selector are the paper's
+dispatcher (Sec. III-A); a cost-driven engine
+(:mod:`repro.mapping.engine`) searches the full mapping design space
+on top of them. See DESIGN.md "Layering".
 """
 
 from .candidates import (

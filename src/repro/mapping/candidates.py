@@ -108,7 +108,7 @@ def chain_candidate(specs: List[LayerSpec], targets: List[str], soc, config,
     ``budget_bytes`` (defaults to the platform L2 — compilation later
     subtracts the static image, which is unknown before codegen), and
     each layer is charged through the same depth-first cost model the
-    executor replays (:func:`~repro.runtime.cost.cost_layer_depthfirst`).
+    runtime charges (:func:`~repro.runtime.cost.cost_layer_depthfirst`).
     The priced latency equals the modeled chain cycles of executing
     exactly this chain with this grid; the compiler's step-level
     planner may still segment differently (it additionally fuses

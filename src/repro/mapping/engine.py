@@ -405,7 +405,7 @@ def _depthfirst_alternatives(pgraph: Graph, sites: List[MappingSite],
     same input-held profitability test, so the priced segments track
     what compilation would adopt — up to residual-closing ``add``
     steps, which only exist at the step level. Each record compares
-    the fused depth-first cost (same cost model the executor replays)
+    the fused depth-first cost (same cost model the accounting pass charges)
     against the sum of the segment layers' chosen unfused candidates,
     for the `repro map` decision table.
     """

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import threading
 import weakref
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -318,6 +319,18 @@ def clip(x: np.ndarray, a_min: int, a_max: int) -> np.ndarray:
 
 def cast(x: np.ndarray, np_dtype) -> np.ndarray:
     return np.asarray(x, dtype=np_dtype)
+
+
+def cast_exact(x, np_dtype) -> Optional[np.ndarray]:
+    """``x`` as an array of ``np_dtype``, or ``None`` when the cast
+    would change a value (out of range, fractional, NaN). An array that
+    already has the dtype is returned as is, unchecked."""
+    arr = np.asarray(x)
+    if arr.dtype == np_dtype:
+        return arr
+    with np.errstate(invalid="ignore"):
+        out = arr.astype(np_dtype)
+    return out if np.array_equal(out, arr) else None
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ class PatternSpec:
         check: optional predicate over the :class:`MatchResult`; a match
             is only extracted if it returns True. This is where simple
             structural vetoes live — full accelerator-aware rules run
-            later, in :mod:`repro.dispatch`.
+            later, in :mod:`repro.mapping`.
     """
 
     name: str
@@ -116,7 +116,7 @@ def partition(graph: Graph, specs: List[PatternSpec]) -> Graph:
     """Extract every match of ``specs`` into Composite nodes.
 
     Extracted composites start with ``target="cpu"``; the dispatcher
-    (:mod:`repro.dispatch`) later reassigns them to accelerators.
+    (:mod:`repro.mapping`) later reassigns them to accelerators.
     """
     matches = find_matches(graph, specs)
     by_root: Dict[int, MatchResult] = {m.root.node_id: m for m in matches}

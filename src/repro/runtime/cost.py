@@ -1,8 +1,9 @@
 """Cycle accounting for tiled accelerator layers.
 
-Shared between the full-network :class:`~repro.runtime.executor.Executor`
-and the single-layer evaluations of Fig. 4 / Fig. 5, so every benchmark
-and test charges exactly the same cost model:
+Shared between the full-network accounting pass
+(:func:`~repro.runtime.accounting.account_model`), the mapping engine's
+candidate pricing and the single-layer evaluations of Fig. 4 / Fig. 5,
+so every benchmark and test charges exactly the same cost model:
 
 * ``weight_dma`` — filling the digital weight memory per output-channel
   block / programming the analog macro once per layer,

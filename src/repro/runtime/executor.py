@@ -1,79 +1,69 @@
 """Graph runtime: executes a compiled model on the simulated DIANA SoC.
 
-For every step the executor produces both the *functional* result
-(bit-exact integer numpy computation) and the *cycle cost* (DMA +
-compute + overheads, per the cost models in :mod:`repro.soc`). Cycle
-accounting is analytic — it depends only on the
-:class:`~repro.dory.tiling_types.TilingSolution`, never on the tile
-arithmetic — which permits two execution modes:
+An inference has two products, computed in two places:
 
-* ``"tiled"`` (default, verification mode) — accelerator layers are
-  executed by actually iterating the DORY tiling: slicing halos,
-  padding edge tiles, accumulating int32 partial sums across C blocks,
-  writing back output tiles. Any tiling bug shows up as a numerical
-  mismatch against the reference interpreter.
-* ``"fast"`` — each accelerator layer's output is computed once with
-  the full-layer kernel while the per-tile DMA/compute cycles are still
-  accumulated from the tiling solution. Outputs are byte-identical and
-  cycle counts exactly equal to tiled mode (int32 accumulation is
-  order-independent; the cost path is literally the same code), at a
-  fraction of the simulation wall-clock.
-* ``"depthfirst"`` — the explicit mode for models compiled with fused
-  :class:`~repro.core.program.DepthFirstChain` schedules; non-chain
-  steps take the fast path.
+* the *functional* result (bit-exact integer numpy computation) comes
+  from the step loop in this module — ``for step: values[out] =
+  kernel(step, args)``;
+* the *cycle cost* and L2 high-water mark (DMA + compute + overheads,
+  per the cost models in :mod:`repro.soc`) are analytic in the compiled
+  program, never in activation values, so they are computed once per
+  (model, platform) by :func:`repro.runtime.accounting.account_model`
+  and every result carries that object by reference.
 
-Fused chains themselves execute patch by patch with halo recompute in
-*every* mode — they are part of the compiled program (the memory plan
-reserves only patch-sized interior slabs, so layer-by-layer execution
-of a fused model would be unfaithful to its plan): only patch-sized
-intermediates occupy L2 inside a chain, and the chain layers' cycles
-price the recompute factor
-(:func:`~repro.runtime.cost.accumulate_depthfirst_cost`). Outputs stay
-byte-identical to layer-by-layer execution of the same graph.
+``exec_mode`` therefore only selects the kernel that computes an
+accelerator layer's bytes:
 
-Fast mode also supports batched (N > 1) inference for throughput
-scenarios: the numeric kernels evaluate the whole batch in one pass
-while cycles/L2 occupancy are modeled per inference (DIANA processes
-samples sequentially; batching is a simulator-side vectorization).
+* ``"tiled"`` (default, verification mode) — actually iterate the DORY
+  tiling: slicing halos, padding edge tiles, accumulating int32 partial
+  sums across C blocks, writing back output tiles. Any tiling bug shows
+  up as a numerical mismatch against the reference interpreter.
+* ``"fast"`` — one full-layer kernel call per layer. Outputs are
+  byte-identical (int32 accumulation is order-independent) at a
+  fraction of the simulation wall-clock, and the whole batch of a
+  ``run_batch`` is evaluated in one vectorized pass (DIANA processes
+  samples sequentially; batching is a simulator-side vectorization).
+* ``"native"`` — the compiled per-artifact shared library, falling
+  back per step to the ``fast`` kernel for anything it does not cover.
+
+Fused :class:`~repro.core.program.DepthFirstChain` schedules execute
+patch by patch with halo recompute in *every* mode — they are part of
+the compiled program (the memory plan reserves only patch-sized
+interior slabs, so layer-by-layer execution of a fused model would be
+unfaithful to its plan). Outputs stay byte-identical to layer-by-layer
+execution of the same graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
-from ..core.program import (
-    AccelStep, CompiledModel, CpuKernelStep, DepthFirstChain,
-)
+from ..core.program import CompiledModel, CpuKernelStep, DepthFirstChain
 from ..dory.layer_spec import LayerSpec
 from ..dory.tiling_types import Tile, TilingSolution
 from ..errors import SimulationError
 from ..extensions.depthfirst import _backward_ranges, _needed_input_range
 from ..obs.trace import get_tracer, now_ns
-from ..soc.perf import PerfCounters
 from .. import numerics as K
-from .cost import accumulate_accel_cost, accumulate_depthfirst_cost
+from .accounting import ModelAccounting, account_model
 from .reference import compile_plan
 
 if TYPE_CHECKING:  # avoid a circular import at runtime
     from ..soc.platform import Platform
-
-#: the functional execution modes of accelerator layers.
-EXEC_MODES = ("tiled", "fast", "depthfirst", "native")
-
-#: modes whose kernels evaluate a whole batch in one pass.
-_BATCH_COVARIANT_MODES = ("fast", "depthfirst", "native")
-
 
 @dataclass
 class ExecutionResult:
     """Output value + performance counters of one inference."""
 
     output: np.ndarray
-    perf: PerfCounters
-    l2_peak_bytes: int
+    perf: ModelAccounting  #: shared per (model, platform); read-only
+
+    @property
+    def l2_peak_bytes(self) -> int:
+        return self.perf.l2_peak_bytes
 
     @property
     def total_cycles(self) -> float:
@@ -94,9 +84,12 @@ class BatchExecutionResult:
     """
 
     outputs: np.ndarray
-    perf: PerfCounters
+    perf: ModelAccounting  #: shared per (model, platform); read-only
     batch: int
-    l2_peak_bytes: int
+
+    @property
+    def l2_peak_bytes(self) -> int:
+        return self.perf.l2_peak_bytes
 
     @property
     def total_cycles(self) -> float:
@@ -266,26 +259,59 @@ def execute_chain_depth_first(accels, specs: List[LayerSpec], x: np.ndarray,
     return out
 
 
+def _accel_tiled(accel, native, idx, step, x, y):
+    return execute_layer_tiled(accel, step.spec, step.tiling, x, y)
+
+
+def _accel_fast(accel, native, idx, step, x, y):
+    return execute_layer_fast(accel, step.spec, x, y)
+
+
+def _accel_native(accel, native, idx, step, x, y):
+    if native is not None:
+        out = native.run_step(idx, step.spec, x, y)
+        if out is not None:
+            return out
+    # no toolchain / uncovered kind / geometry surprise: fast interpreter
+    return execute_layer_fast(accel, step.spec, x, y)
+
+
+class _Mode(NamedTuple):
+    """Everything that depends on ``exec_mode``."""
+
+    accel_kernel: Callable  #: (accel, native, idx, step, x, y) -> ndarray
+    native: bool            #: build / load the model's shared library
+    batched: bool           #: kernels evaluate a whole batch in one pass
+
+
+_MODES = {
+    "tiled": _Mode(_accel_tiled, native=False, batched=False),
+    "fast": _Mode(_accel_fast, native=False, batched=True),
+    "native": _Mode(_accel_native, native=True, batched=True),
+}
+
+#: the functional execution modes of accelerator layers.
+EXEC_MODES = tuple(_MODES)
+
+
 class Executor:
     """Runs compiled models on a :class:`~repro.soc.platform.Platform`.
 
-    ``exec_mode`` selects how accelerator layers are computed:
+    ``exec_mode`` selects the kernel that computes accelerator layers:
     ``"tiled"`` (default) executes every DORY tile and is the
     verification mode; ``"fast"`` computes each layer in one full-layer
-    kernel call with identical outputs and cycle counts;
-    ``"depthfirst"`` is the explicit mode for fused models (non-chain
-    steps run fast). A model's
+    kernel call; ``"native"`` runs the compiled per-artifact shared
+    library (see :mod:`repro.codegen.build`) and falls back per step to
+    the ``fast`` kernel for anything the library does not cover — CPU
+    kernels, fused chains, or a host without a C toolchain. A model's
     :class:`~repro.core.program.DepthFirstChain` schedules execute
     patch by patch in every mode — they are part of the program, and
     their memory plan only holds patch-sized interior slabs.
 
-    ``"native"`` executes accelerator layers through the compiled
-    per-artifact shared library (see :mod:`repro.codegen.build`):
-    covered steps run machine code, anything the library does not cover
-    — CPU kernels, fused chains, or a host without a C toolchain —
-    falls back per step to the ``fast`` interpreter. Outputs stay
-    byte-identical and cycle accounting is unchanged (the cost model is
-    analytic in the step, not in who computed the bytes).
+    Outputs are byte-identical across modes, and so is the accounting:
+    ``perf`` / ``l2_peak_bytes`` of every result are the
+    :class:`~repro.runtime.accounting.ModelAccounting` of the (model,
+    platform) pair, computed on first use and shared by reference.
     ``native_cache_dir`` overrides where the shared library is cached
     (default: ``$REPRO_NATIVE_CACHE`` or ``~/.cache/repro/native``; the
     serving layer passes the artifact's own directory).
@@ -293,49 +319,46 @@ class Executor:
 
     def __init__(self, soc: "Platform", exec_mode: str = "tiled",
                  native_cache_dir: Optional[str] = None):
-        if exec_mode not in EXEC_MODES:
+        if exec_mode not in _MODES:
             raise SimulationError(
                 f"unknown exec_mode {exec_mode!r}; expected one of {EXEC_MODES}")
         self.soc = soc
         self.exec_mode = exec_mode
         self.native_cache_dir = native_cache_dir
+        self._mode = _MODES[exec_mode]
 
     # -- public API -----------------------------------------------------------
 
     def run(self, model: CompiledModel,
             feeds: Dict[str, np.ndarray]) -> ExecutionResult:
-        """Execute one inference; returns output + cycle accounting."""
-        output, perf, l2_peak = self._execute(model, feeds, batch=None)
-        return ExecutionResult(output=output, perf=perf,
-                               l2_peak_bytes=l2_peak)
+        """Execute one inference; returns output + cycle accounting.
+
+        Raises :class:`~repro.errors.OutOfMemoryError` before any kernel
+        runs when the model's memory plan does not fit the platform's L2.
+        """
+        output, acct = self._execute(model, feeds, batch=None)
+        return ExecutionResult(output=output, perf=acct)
 
     def run_batch(self, model: CompiledModel,
                   feeds: Dict[str, np.ndarray]) -> BatchExecutionResult:
         """Execute a batch of N samples (feeds carry a leading batch dim).
 
         Sample ``i`` of the result is byte-identical to ``run`` on
-        sample ``i`` alone. In fast mode the batch is evaluated in one
-        vectorized pass; tiled mode loops sample by sample (every tile
-        of every sample is executed).
+        sample ``i`` alone. Fast and native kernels evaluate the batch
+        in one vectorized pass (chains included); tiled mode loops
+        sample by sample (every tile of every sample is executed).
         """
         batch = self._batch_size(model, feeds)
-        if self.exec_mode in _BATCH_COVARIANT_MODES:
-            # these modes use batch-covariant kernels (chains included)
-            outputs, perf, l2_peak = self._execute(model, feeds, batch=batch)
-            return BatchExecutionResult(outputs=outputs, perf=perf,
-                                        batch=batch, l2_peak_bytes=l2_peak)
-        outputs = []
-        first: Optional[ExecutionResult] = None
-        for i in range(batch):
-            sample = {name: np.asarray(arr)[i:i + 1]
-                      for name, arr in feeds.items()}
-            res = self.run(model, sample)
-            outputs.append(res.output)
-            if first is None:
-                first = res
-        return BatchExecutionResult(
-            outputs=np.concatenate(outputs, axis=0), perf=first.perf,
-            batch=batch, l2_peak_bytes=first.l2_peak_bytes)
+        if self._mode.batched:
+            outputs, acct = self._execute(model, feeds, batch=batch)
+        else:
+            runs = [self._execute(
+                model, {name: np.asarray(arr)[i:i + 1]
+                        for name, arr in feeds.items()}, batch=None)
+                for i in range(batch)]
+            outputs = np.concatenate([out for out, _ in runs], axis=0)
+            acct = runs[0][1]
+        return BatchExecutionResult(outputs=outputs, perf=acct, batch=batch)
 
     # -- main loop -----------------------------------------------------------
 
@@ -346,98 +369,100 @@ class Executor:
         # guard benchmarks/bench_obs.py gates at <= 2% of fast-mode
         # inference wall-clock
         tracer = get_tracer()
-        perf = PerfCounters()
-        values: Dict[str, np.ndarray] = {}
-        l2 = self.soc.fresh_l2()
-        l2.place("static_image", 0, min(model.size.total, l2.capacity))
-        arena_base = model.size.total
-        l2_peak = model.size.total
-
-        for name in model.input_names:
-            if name not in feeds:
-                raise SimulationError(f"missing input {name!r}")
-            buf = model.buffers[name]
-            arr = np.asarray(feeds[name], dtype=buf.ttype.dtype.to_numpy())
-            expected = (tuple(buf.ttype.shape) if batch is None
-                        else (batch,) + tuple(buf.ttype.shape)[1:])
-            if arr.shape != expected:
-                raise SimulationError(
-                    f"input {name!r}: expected {expected}, "
-                    f"got {arr.shape}")
-            values[name] = arr
-            self._place(l2, model, name, arena_base)
-
+        values = self._bind_feeds(model, feeds, batch)
+        # everything modeled — cycles, L2 occupancy, the capacity check
+        # — is a property of (model, soc), not of this inference
+        acct = account_model(model, self.soc)
+        records = acct.records
         # fused chains are part of the compiled *program*, not a
         # simulation knob: their memory plan reserves only patch-slab
-        # interiors, so layer-by-layer execution of a fused model would
-        # place full tensors at slab-packed offsets. They run patch-wise
-        # in every mode; exec_mode selects how everything else runs.
+        # interiors, so they run patch-wise in every mode; exec_mode
+        # selects how everything else runs.
         chains: Dict[int, DepthFirstChain] = {
             c.start: c for c in model.depthfirst_chains}
 
-        last_use = self._last_use(model)
-        native = None
-        if self.exec_mode == "native":
-            native = self._native_module(model)
-            if native is not None and native.has_full_run and not chains:
-                t0 = now_ns() if tracer is not None else 0
-                full = self._native_full(model, values, batch, native)
-                if full is not None:
-                    # accounting replays the analytic per-step costs so
-                    # perf/l2 match the interpreted modes byte for byte
-                    l2_peak = max(l2_peak, self._account_steps(
-                        model, perf, l2, arena_base, last_use))
-                    if tracer is not None:
-                        tracer.record(
-                            "exec.native_full", t0, category="exec",
-                            model=model.name, exec_mode=self.exec_mode,
-                            steps=len(model.steps),
-                            modeled_cycles=perf.total_cycles)
-                    return full, perf, l2_peak
+        native = self._native_module(model) if self._mode.native else None
+        if native is not None and native.has_full_run and not chains:
+            t0 = now_ns() if tracer is not None else 0
+            full = self._native_full(model, values, batch, native)
+            if full is not None:
+                if tracer is not None:
+                    tracer.record(
+                        "exec.native_full", t0, category="exec",
+                        model=model.name, exec_mode=self.exec_mode,
+                        steps=len(model.steps),
+                        modeled_cycles=acct.total_cycles)
+                return full, acct
+
+        accel_kernel = self._mode.accel_kernel
+        accelerator = self.soc.accelerator
+        steps = model.steps
         idx = 0
-        while idx < len(model.steps):
+        while idx < len(steps):
+            step = steps[idx]
+            t0 = now_ns() if tracer is not None else 0
             chain = chains.get(idx)
             if chain is not None:
-                if tracer is not None:
-                    t0, n_rec = now_ns(), len(perf.records)
-                l2_peak = max(l2_peak, self._run_chain(
-                    model, chain, values, perf, l2, arena_base, last_use))
+                values[steps[chain.stop - 1].output_name] = self._run_chain(
+                    steps[chain.start:chain.stop], chain, values)
                 if tracer is not None:
                     tracer.record(
                         "exec.chain", t0, category="exec",
                         start=chain.start, length=chain.length,
                         exec_mode=self.exec_mode,
-                        modeled_cycles=sum(r.total_cycles for r
-                                           in perf.records[n_rec:]))
+                        modeled_cycles=sum(
+                            r.total_cycles
+                            for r in records[chain.start:chain.stop]))
                 idx = chain.stop
                 continue
-            step = model.steps[idx]
-            self._place(l2, model, step.output_name, arena_base)
-            l2_peak = max(l2_peak, l2.high_water)
             args = [values[n] for n in step.input_names]
-            t0 = now_ns() if tracer is not None else 0
             if isinstance(step, CpuKernelStep):
-                values[step.output_name] = self._run_cpu(step, args, perf)
-                target = "cpu"
-            elif isinstance(step, AccelStep):
-                values[step.output_name] = self._run_accel(
-                    step, args, perf, idx=idx, native=native)
-                target = step.accel_target
+                out = compile_plan(step.body).run_args(*args)
             else:
-                raise SimulationError(f"unknown step {step!r}")
+                out = accel_kernel(
+                    accelerator(step.accel_target), native, idx, step,
+                    args[0], args[1] if step.spec.kind == "add" else None)
+            values[step.output_name] = out
             if tracer is not None:
                 tracer.record(
                     "exec.step", t0, category="exec", step=step.name,
-                    target=target, exec_mode=self.exec_mode,
-                    modeled_cycles=perf.records[-1].total_cycles)
-            for name in step.input_names:
-                if last_use.get(name) == idx and name != model.output_name:
-                    l2.free(name)
+                    target=records[idx].target, exec_mode=self.exec_mode,
+                    modeled_cycles=records[idx].total_cycles)
             idx += 1
 
-        return values[model.output_name], perf, l2_peak
+        return values[model.output_name], acct
 
     # -- helpers -----------------------------------------------------------------
+
+    def _bind_feeds(self, model: CompiledModel,
+                    feeds: Dict[str, np.ndarray],
+                    batch: Optional[int]) -> Dict[str, np.ndarray]:
+        """The model's inputs as arrays of the input buffers' dtype.
+
+        A feed of another dtype is accepted only when casting it
+        preserves every value — an out-of-range or fractional feed
+        would otherwise be wrapped / truncated into a different,
+        silently served input.
+        """
+        values: Dict[str, np.ndarray] = {}
+        for name in model.input_names:
+            if name not in feeds:
+                raise SimulationError(f"missing input {name!r}")
+            ttype = model.buffers[name].ttype
+            arr = K.cast_exact(feeds[name], ttype.dtype.to_numpy())
+            if arr is None:
+                raise SimulationError(
+                    f"input {name!r}: values of dtype "
+                    f"{np.asarray(feeds[name]).dtype} do not fit "
+                    f"{ttype.dtype}")
+            expected = (tuple(ttype.shape) if batch is None
+                        else (batch,) + tuple(ttype.shape)[1:])
+            if arr.shape != expected:
+                raise SimulationError(
+                    f"input {name!r}: expected {expected}, "
+                    f"got {arr.shape}")
+            values[name] = arr
+        return values
 
     def _batch_size(self, model: CompiledModel,
                     feeds: Dict[str, np.ndarray]) -> int:
@@ -495,83 +520,9 @@ class Executor:
                  else (batch,) + tuple(out_t.shape)[1:])
         return flat.reshape(shape)
 
-    def _account_steps(self, model: CompiledModel, perf: PerfCounters,
-                       l2, arena_base: int, last_use) -> int:
-        """Replay the cycle/L2 accounting of the step loop without
-        executing kernels — used after a whole-network native run.
-        Identical charges by construction: the cost model is analytic
-        in (step, soc), never in activation values."""
-        l2_peak = model.size.total
-        for idx, step in enumerate(model.steps):
-            self._place(l2, model, step.output_name, arena_base)
-            l2_peak = max(l2_peak, l2.high_water)
-            rec = perf.start_kernel(step.name, step.accel_target,
-                                    macs=step.spec.macs())
-            self._accel_cost(step, rec)
-            for name in step.input_names:
-                if last_use.get(name) == idx and name != model.output_name:
-                    l2.free(name)
-        return l2_peak
-
-    def _last_use(self, model: CompiledModel) -> Dict[str, int]:
-        cached = getattr(model, "_last_use_cache", None)
-        if cached is not None:
-            return cached
-        out: Dict[str, int] = {}
-        for idx, step in enumerate(model.steps):
-            for name in step.input_names:
-                out[name] = idx
-        model._last_use_cache = out
-        return out
-
-    def _place(self, l2, model: CompiledModel, name: str, base: int,
-               plan_sized: bool = False):
-        offset = model.memory_plan.offsets.get(name)
-        if offset is None:
-            return
-        # depth-first models plan chain intermediates at patch-slab
-        # size; layer-by-layer modes materialize the full tensor, so
-        # they account (and enforce) the full buffer footprint.
-        size = (model.memory_plan.sizes.get(name) if plan_sized else None)
-        if size is None:
-            size = model.buffers[name].size_bytes
-        l2.place(name, base + offset, size)
-
-    def _run_chain(self, model: CompiledModel, chain: DepthFirstChain,
-                   values, perf: PerfCounters, l2, arena_base: int,
-                   last_use) -> int:
-        """Execute one fused depth-first chain; returns its L2 peak.
-
-        L2 accounting mirrors the patch schedule: the chain input and
-        output stay resident for the whole chain while interior slabs
-        ping-pong (slab j coexists only with slab j-1), exactly the
-        co-residency the compile-time plan packed.
-        """
-        steps = model.steps[chain.start:chain.stop]
-        for step in steps:
-            if not isinstance(step, AccelStep):
-                raise SimulationError(
-                    f"{step.name}: depth-first chain over a non-"
-                    "accelerator step")
-        final = steps[-1]
-        self._place(l2, model, final.output_name, arena_base, True)
-        peak = l2.high_water
-        prev = None
-        for step in steps[:-1]:
-            self._place(l2, model, step.output_name, arena_base, True)
-            peak = max(peak, l2.high_water)
-            if prev is not None:
-                l2.free(prev)
-            prev = step.output_name
-        if prev is not None:
-            l2.free(prev)
-
-        for step, ratio in zip(steps, chain.per_layer_recompute):
-            rec = perf.start_kernel(step.name, step.accel_target,
-                                    macs=step.spec.macs())
-            self._chain_cost(step, rec, ratio, chain.num_patches)
-
-        produced = {s.output_name for s in steps}
+    def _run_chain(self, steps, chain: DepthFirstChain,
+                   values) -> np.ndarray:
+        """Execute one fused depth-first chain patch by patch."""
         skips: List[Optional[np.ndarray]] = []
         for j, step in enumerate(steps):
             if step.spec.kind != "add":
@@ -580,93 +531,7 @@ class Executor:
             tail = steps[j - 1].output_name
             ins = step.input_names
             skips.append(values[ins[0] if ins[1] == tail else ins[1]])
-        x = values[steps[0].input_names[0]]
-        out = execute_chain_depth_first(
+        return execute_chain_depth_first(
             [self.soc.accelerator(s.accel_target) for s in steps],
-            [s.spec for s in steps], x, chain.patch_grid, skips=skips)
-        values[final.output_name] = out
-
-        stop = chain.stop - 1
-        for step in steps:
-            for name in step.input_names:
-                if (name not in produced
-                        and last_use.get(name, -1) <= stop
-                        and name != model.output_name):
-                    l2.free(name)
-        return peak
-
-    def _chain_cost(self, step: AccelStep, rec, ratio: float,
-                    num_patches: int):
-        """Depth-first cycle charge with the same replay memo as
-        :meth:`_accel_cost` (the charge is analytic in the step)."""
-        accel = self.soc.accelerator(step.accel_target)
-        params = self.soc.params
-        cached = getattr(step, "_df_cost_cache", None)
-        if cached is None or cached[0] is not accel or cached[1] is not params:
-            accumulate_depthfirst_cost(rec, accel, step.spec, step.tiling,
-                                       params, ratio, num_patches)
-            step._df_cost_cache = (accel, params, dict(rec.cycles),
-                                   rec.num_tiles)
-            return
-        _, _, cycles, num_tiles = cached
-        rec.cycles.update(cycles)
-        rec.num_tiles = num_tiles
-
-    def _run_cpu(self, step: CpuKernelStep, args, perf: PerfCounters):
-        body = step.body
-        # the CPU cost model is analytic in the body graph: compute the
-        # MAC count and kernel cycles once per step, replay afterwards
-        # (strong-ref identity check, same rationale as _accel_cost)
-        cpu = self.soc.cpu
-        cached = getattr(step, "_cost_cache", None)
-        if cached is None or cached[0] is not cpu:
-            cached = (cpu, body.total_macs(), cpu.kernel_cycles(body))
-            step._cost_cache = cached
-        _, macs, cpu_cycles = cached
-        rec = perf.start_kernel(step.name, "cpu", macs=macs)
-        rec.add("cpu_compute", cpu_cycles)
-        rec.add("runtime", self.soc.params.runtime_call_overhead)
-        return compile_plan(body).run_args(*args)
-
-    # -- accelerator execution ------------------------------------------------
-
-    def _accel_cost(self, step: AccelStep, rec):
-        """Charge the (static) cycle cost of one accelerator step.
-
-        The cost model is analytic in (spec, tiling, accelerator,
-        params) — it never looks at activation values — so the per-tile
-        accounting loop runs once per step and is replayed on later
-        inferences by copying the identical float values.
-        """
-        accel = self.soc.accelerator(step.accel_target)
-        params = self.soc.params
-        cached = getattr(step, "_cost_cache", None)
-        # identity check against strong refs: a model re-run on a
-        # different SoC / params recomputes instead of replaying
-        if cached is None or cached[0] is not accel or cached[1] is not params:
-            accumulate_accel_cost(rec, accel, step.spec, step.tiling, params)
-            step._cost_cache = (accel, params, dict(rec.cycles),
-                                rec.num_tiles)
-            return
-        _, _, cycles, num_tiles = cached
-        rec.cycles.update(cycles)
-        rec.num_tiles = num_tiles
-
-    def _run_accel(self, step: AccelStep, args, perf: PerfCounters,
-                   idx: Optional[int] = None, native=None):
-        spec, sol = step.spec, step.tiling
-        accel = self.soc.accelerator(step.accel_target)
-        rec = perf.start_kernel(step.name, step.accel_target, macs=spec.macs())
-        self._accel_cost(step, rec)
-
-        x = args[0]
-        y = args[1] if spec.kind == "add" else None
-        if native is not None and idx is not None:
-            out = native.run_step(idx, spec, x, y)
-            if out is not None:
-                return out
-            # uncovered kind / geometry surprise: fast interpreter
-        if self.exec_mode in ("fast", "depthfirst", "native"):
-            # non-chain steps of a depth-first model run as full layers
-            return execute_layer_fast(accel, spec, x, y)
-        return execute_layer_tiled(accel, spec, sol, x, y)
+            [s.spec for s in steps], values[steps[0].input_names[0]],
+            chain.patch_grid, skips=skips)

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..errors import ServingError, ServingTimeoutError
+from ..numerics import cast_exact
 from ..obs.metrics import get_registry
 from ..obs.trace import trace_span
 
@@ -41,10 +42,11 @@ def normalize_feeds(compiled, feeds: Dict[str, np.ndarray],
     """Validate one single-sample request against a compiled model.
 
     Arrays without the leading batch dimension are accepted and
-    reshaped to ``(1, ...)``; missing inputs and shape mismatches raise
-    :class:`ServingError`. Shared by the in-process batcher and the
-    fleet workers so both front doors reject malformed requests the
-    same way.
+    reshaped to ``(1, ...)``; missing inputs, shape mismatches and
+    values the input buffer's dtype cannot hold (out of range,
+    fractional) raise :class:`ServingError`. Shared by the in-process
+    batcher and the fleet workers so both front doors reject malformed
+    requests the same way.
     """
     label = name or compiled.name
     normalized = {}
@@ -52,8 +54,14 @@ def normalize_feeds(compiled, feeds: Dict[str, np.ndarray],
         if in_name not in feeds:
             raise ServingError(f"{label}: missing input {in_name!r}",
                                code="S-INPUT")
-        arr = np.asarray(feeds[in_name])
-        expected = tuple(compiled.buffers[in_name].ttype.shape)
+        ttype = compiled.buffers[in_name].ttype
+        arr = cast_exact(feeds[in_name], ttype.dtype.to_numpy())
+        if arr is None:
+            raise ServingError(
+                f"{label}: input {in_name!r} values of dtype "
+                f"{np.asarray(feeds[in_name]).dtype} do not fit "
+                f"{ttype.dtype}", code="S-INPUT")
+        expected = tuple(ttype.shape)
         if arr.shape == expected[1:]:
             arr = arr[None, ...]
         if arr.shape != (1,) + expected[1:]:

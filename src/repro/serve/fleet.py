@@ -31,9 +31,8 @@ the deployment-grade front door built robustness-first:
   :class:`~repro.errors.ServingUnavailableError` until a half-open
   probe succeeds.
 * **OOM fallback** — repeated out-of-memory worker deaths optionally
-  restart the deployment's workers in a smaller-arena exec mode
-  (``fallback_exec_mode``, e.g. ``"depthfirst"`` for models with fused
-  chains).
+  restart the deployment's workers in an exec mode with a smaller
+  working set (``fallback_exec_mode``, e.g. ``"tiled"``).
 
 Control is deliberately single-threaded: one *pump* thread owns all
 worker I/O, health checks, retries and dispatch; client threads only
@@ -242,7 +241,7 @@ class FleetConfig:
     restart_max_s: float = 5.0
     max_restarts: Optional[int] = None   #: per worker slot; None = unbounded
     oom_fallback_after: int = 2      #: OOM deaths before exec-mode fallback
-    fallback_exec_mode: Optional[str] = None  #: e.g. "depthfirst" / "tiled"
+    fallback_exec_mode: Optional[str] = None  #: e.g. "tiled"
     faults: Optional[FaultPlan] = None
 
     def __post_init__(self):

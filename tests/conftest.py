@@ -25,16 +25,12 @@ from helpers import assert_compiled_matches_reference, build_small_cnn  # noqa: 
 from repro.soc import DianaSoC  # noqa: E402
 
 
-def pytest_configure(config):
-    # test_dispatch.py imports the deprecated ``repro.dispatch`` shim on
-    # purpose (it tests the alias), which would otherwise leak its
-    # one-time DeprecationWarning into the warnings summary of every
-    # run. Scope the suppression to exactly that message — the
-    # subprocess regression tests in test_serve.py still prove the shim
-    # warns exactly once on direct import.
-    config.addinivalue_line(
-        "filterwarnings",
-        "ignore:repro.dispatch is a deprecated alias:DeprecationWarning")
+@pytest.fixture(scope="session")
+def shared_native_cache(tmp_path_factory):
+    """One native library cache for the whole run: cells of the same
+    fingerprint are built once, whichever test module asks first, like
+    real serving hosts do."""
+    return str(tmp_path_factory.mktemp("native-cache"))
 
 
 @pytest.fixture

@@ -5,10 +5,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dory import make_conv_spec
-from repro.errors import UnsupportedError
-from repro.extensions import (
-    run_chain_depth_first, run_chain_layer_by_layer,
-)
+from repro.errors import SimulationError
+from repro.runtime import execute_chain_depth_first, execute_layer_fast
+from repro.soc import get_platform
+
+ACCEL = get_platform("diana").accelerator("soc.digital")
+
+
+def run_chain_layer_by_layer(chain, x):
+    """Golden: full feature maps between layers."""
+    for spec in chain:
+        x = execute_layer_fast(ACCEL, spec, x)
+    return x
+
+
+def run_chain_depth_first(chain, x, patch_grid):
+    return execute_chain_depth_first([ACCEL] * len(chain), chain, x,
+                                     patch_grid)
 
 
 def build_chain(seed, stages, input_hw=16, input_c=3, depthwise_mask=0):
@@ -68,14 +81,8 @@ class TestBitExactness:
 
 
 class TestErrors:
-    def test_missing_weights(self):
-        chain = [make_conv_spec("c", 3, 4, 8, 8, padding=(1, 1))]
-        x = np.zeros((1, 3, 8, 8), np.int8)
-        with pytest.raises(UnsupportedError, match="weights"):
-            run_chain_layer_by_layer(chain, x)
-
     def test_bad_grid(self):
         chain = build_chain(0, 1)
         x = np.zeros((1, 3, 16, 16), np.int8)
-        with pytest.raises(UnsupportedError):
+        with pytest.raises(SimulationError, match="patch grid"):
             run_chain_depth_first(chain, x, (0, 1))

@@ -2,7 +2,7 @@
 
 Covers the promotion of depth-first from analysis to a compilation
 product: chain discovery over compiled steps, budget-driven patch-grid
-planning, the ``exec_mode="depthfirst"`` runtime path (bit-exact vs.
+planning, the patch-wise runtime path of fused chains (bit-exact vs.
 layer-by-layer on the whole zoo x Table I grid), recompute-priced
 cycles, artifact round-trips, and the out-of-memory rescue of
 ``depthfirst="auto"``. Also holds the brute-force halo oracle — the
@@ -27,7 +27,7 @@ from repro.extensions.depthfirst import (
 )
 from repro.frontend.modelzoo import MLPERF_TINY
 from repro.mapping import analyze_mapping, chain_candidate, prepare_graph
-from repro.runtime import Executor, random_inputs, run_reference
+from repro.runtime import EXEC_MODES, Executor, random_inputs, run_reference
 from repro.serve import load_artifact, save_artifact
 from repro.soc import DEFAULT_PARAMS, DianaSoC
 
@@ -192,11 +192,9 @@ class TestExecution:
         fused = compile_model(graph, soc, cfg)
         feeds = random_inputs(graph, seed=7)
         try:
-            df = Executor(soc, exec_mode="depthfirst").run(fused, feeds)
-            fast = Executor(soc, exec_mode="fast").run(fused, feeds)
+            df = Executor(soc, exec_mode="fast").run(fused, feeds)
         except OutOfMemoryError:
             pytest.skip(f"{model}/{config} does not fit L2 (Table I OoM)")
-        assert np.array_equal(df.output, fast.output)
         assert np.array_equal(
             df.output, np.asarray(run_reference(fused.graph, feeds)))
 
@@ -204,17 +202,19 @@ class TestExecution:
         _, soc, base, fused = _compile_pair("resnet", "digital")
         feeds = random_inputs(base.graph, seed=2)
         fast = Executor(soc, exec_mode="fast").run(base, feeds)
-        df = Executor(soc, exec_mode="depthfirst").run(fused, feeds)
+        df = Executor(soc, exec_mode="fast").run(fused, feeds)
         assert df.total_cycles > fast.total_cycles
         # ...but bounded by the worst chain's recompute factor
         worst = max(c.recompute_factor for c in fused.depthfirst_chains)
         assert df.total_cycles < fast.total_cycles * worst * 1.05
 
     def test_depthfirst_mode_without_chains_equals_fast(self):
-        _, soc, base, _ = _compile_pair("toyadmos", "digital")
-        assert not base.depthfirst_chains
+        # depthfirst="on" over a model with nothing to fuse is the
+        # layer-by-layer program; there is no "depthfirst" exec mode
+        _, soc, base, fused = _compile_pair("toyadmos", "digital")
+        assert not fused.depthfirst_chains
         feeds = random_inputs(base.graph, seed=1)
-        df = Executor(soc, exec_mode="depthfirst").run(base, feeds)
+        df = Executor(soc, exec_mode="fast").run(fused, feeds)
         fast = Executor(soc, exec_mode="fast").run(base, feeds)
         assert np.array_equal(df.output, fast.output)
         assert df.total_cycles == fast.total_cycles
@@ -225,12 +225,12 @@ class TestExecution:
             _, soc, base, fused = _compile_pair(model, "digital")
             feeds = random_inputs(base.graph, seed=3)
             fast = Executor(soc, exec_mode="fast").run(base, feeds)
-            df = Executor(soc, exec_mode="depthfirst").run(fused, feeds)
+            df = Executor(soc, exec_mode="fast").run(fused, feeds)
             assert df.l2_peak_bytes < fast.l2_peak_bytes
 
     def test_batched_depthfirst_matches_per_sample(self):
         _, soc, _, fused = _compile_pair("resnet", "digital")
-        ex = Executor(soc, exec_mode="depthfirst")
+        ex = Executor(soc, exec_mode="fast")
         feeds1 = random_inputs(fused.graph, seed=4)
         single = ex.run(fused, feeds1)
         batched = ex.run_batch(fused, {
@@ -248,7 +248,7 @@ class TestExecution:
         cfg = CompilerConfig(depthfirst="on", check_l2=False)
         fused = compile_model(graph, digital_soc, cfg)
         feeds = random_inputs(graph, seed=9)
-        df = Executor(digital_soc, exec_mode="depthfirst").run(fused, feeds)
+        df = Executor(digital_soc, exec_mode="fast").run(fused, feeds)
         assert np.array_equal(
             df.output, np.asarray(run_reference(fused.graph, feeds)))
 
@@ -264,28 +264,29 @@ class TestOomRescue:
         assert fused.depthfirst_chains
         assert fused.l2_required_bytes <= params.l2_bytes
         feeds = random_inputs(graph, seed=5)
-        df = Executor(soc, exec_mode="depthfirst").run(fused, feeds)
+        df = Executor(soc, exec_mode="fast").run(fused, feeds)
         assert np.array_equal(
             df.output, np.asarray(run_reference(fused.graph, feeds)))
         assert df.l2_peak_bytes <= params.l2_bytes
 
-    def test_rescued_model_runs_in_every_exec_mode(self):
+    def test_rescued_model_runs_in_every_exec_mode(self, tmp_path):
         """Chains are part of the program: a rescued deployment must
-        execute under its budget in fast and tiled modes too (a served
-        artifact defaults to the fast executor)."""
+        execute under its budget in every mode (a served artifact
+        defaults to the fast executor)."""
         params = dataclasses.replace(DEFAULT_PARAMS, l2_bytes=320 * 1024)
         soc = DianaSoC(params=params, enable_analog=False)
         graph = MLPERF_TINY["mobilenet"](precision="int8")
         fused = compile_model(graph, soc, CompilerConfig(depthfirst="auto"))
         feeds = random_inputs(graph, seed=8)
         golden = np.asarray(run_reference(fused.graph, feeds))
-        runs = {mode: Executor(soc, exec_mode=mode).run(fused, feeds)
-                for mode in ("fast", "tiled", "depthfirst")}
+        runs = {mode: Executor(soc, exec_mode=mode,
+                               native_cache_dir=str(tmp_path)).run(
+                                   fused, feeds)
+                for mode in EXEC_MODES}
         for mode, res in runs.items():
             assert np.array_equal(res.output, golden), mode
             assert res.l2_peak_bytes <= params.l2_bytes, mode
-        assert (runs["fast"].total_cycles
-                == runs["depthfirst"].total_cycles)
+            assert res.total_cycles == runs["fast"].total_cycles, mode
 
     def test_report_handles_base_oom(self):
         rep = depthfirst_report(
@@ -314,8 +315,8 @@ class TestThreading:
                 for c in fused.depthfirst_chains]
         assert got == want
         feeds = random_inputs(graph, seed=6)
-        a = Executor(soc, exec_mode="depthfirst").run(fused, feeds)
-        b = Executor(art.soc, exec_mode="depthfirst").run(art.model, feeds)
+        a = Executor(soc, exec_mode="fast").run(fused, feeds)
+        b = Executor(art.soc, exec_mode="fast").run(art.model, feeds)
         assert np.array_equal(a.output, b.output)
         assert a.total_cycles == b.total_cycles
         assert a.l2_peak_bytes == b.l2_peak_bytes
@@ -330,7 +331,7 @@ class TestThreading:
             cfg.with_overrides(depthfirst="on").fingerprint()
 
     def test_deploy_depthfirst_override(self):
-        r = deploy("resnet", "digital", exec_mode="depthfirst",
+        r = deploy("resnet", "digital", exec_mode="fast",
                    depthfirst="on")
         assert r.verified is True
         assert r.compiled.depthfirst_chains

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dispatch import assign_targets, dispatch_summary, eligible_targets
+from repro.mapping import assign_targets, dispatch_summary, eligible_targets
 from repro.dory import make_conv_spec, make_dense_spec
 from repro.frontend.modelzoo import dscnn, resnet8
 from repro.patterns import default_specs, partition

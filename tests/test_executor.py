@@ -35,6 +35,24 @@ class TestSmallGraphs:
         with pytest.raises(SimulationError, match="expected"):
             Executor(soc).run(model, {"data": np.zeros((1, 3, 4, 4), np.int8)})
 
+    @pytest.mark.parametrize("mode", ["tiled", "fast"])
+    def test_lossy_feed_dtype_raises(self, soc, small_cnn, mode):
+        """An int64 feed of x + 256 or a float32 feed of x + 0.9 used to
+        be wrapped / truncated to x and served without an error."""
+        model = compile_model(small_cnn, soc, HTVM)
+        x = random_inputs(small_cnn, seed=0)["data"]
+        ex = Executor(soc, exec_mode=mode)
+        good = ex.run(model, {"data": x}).output
+        for bad in (x.astype(np.int64) + 256,
+                    np.abs(x).astype(np.float32) + 0.9):
+            with pytest.raises(SimulationError, match="do not fit"):
+                ex.run(model, {"data": bad})
+            with pytest.raises(SimulationError, match="do not fit"):
+                ex.run_batch(model, {"data": bad})
+        # a value-preserving cast is still accepted
+        for same in (x.astype(np.int64), x.astype(np.float32), x.tolist()):
+            assert np.array_equal(ex.run(model, {"data": same}).output, good)
+
     def test_counters_populated(self, soc, small_cnn):
         model, result = assert_compiled_matches_reference(small_cnn, soc)
         assert result.total_cycles > 0

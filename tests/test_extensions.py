@@ -194,7 +194,7 @@ class TestDot:
         assert "->" in dot
 
     def test_partitioned_colors(self, small_cnn):
-        from repro.dispatch import assign_targets
+        from repro.mapping import assign_targets
         from repro.patterns import default_specs, partition
         soc = DianaSoC(enable_analog=False)
         g, _ = assign_targets(partition(small_cnn, default_specs()), soc)

@@ -53,13 +53,6 @@ def _compile_cell(model, config):
     return graph, soc, compiled
 
 
-@pytest.fixture(scope="module")
-def shared_cache(tmp_path_factory):
-    """One library cache for the whole module: later cells of the same
-    fingerprint reuse earlier builds, like real serving hosts do."""
-    return str(tmp_path_factory.mktemp("native-cache"))
-
-
 # ---------------------------------------------------------------------------
 # bit-exactness: the property the whole backend hangs on
 # ---------------------------------------------------------------------------
@@ -70,11 +63,11 @@ class TestNativeBitExact:
 
     @pytest.mark.parametrize("model", sorted(MLPERF_TINY))
     @pytest.mark.parametrize("config", ACCEL_CONFIGS)
-    def test_zoo_grid(self, model, config, shared_cache):
+    def test_zoo_grid(self, model, config, shared_native_cache):
         graph, soc, compiled = _compile_cell(model, config)
         feeds = random_inputs(graph, seed=11)
         res = {mode: Executor(soc, exec_mode=mode,
-                              native_cache_dir=shared_cache)
+                              native_cache_dir=shared_native_cache)
                .run(compiled, feeds)
                for mode in ("fast", "tiled", "native")}
         np.testing.assert_array_equal(res["native"].output,
@@ -85,7 +78,7 @@ class TestNativeBitExact:
         assert res["native"].total_cycles == res["tiled"].total_cycles
         assert res["native"].l2_peak_bytes == res["fast"].l2_peak_bytes
 
-    def test_batched_equivalence(self, shared_cache):
+    def test_batched_equivalence(self, shared_native_cache):
         graph, soc, compiled = _compile_cell("toyadmos", "digital")
         rng = np.random.default_rng(5)
         single = random_inputs(graph, seed=5)
@@ -94,19 +87,19 @@ class TestNativeBitExact:
                                     dtype=np.int8)
                  for name, arr in single.items()}
         nat = Executor(soc, exec_mode="native",
-                       native_cache_dir=shared_cache)
+                       native_cache_dir=shared_native_cache)
         fast = Executor(soc, exec_mode="fast")
         np.testing.assert_array_equal(
             nat.run_batch(compiled, feeds).outputs,
             fast.run_batch(compiled, feeds).outputs)
 
-    def test_full_run_path_used_where_eligible(self, shared_cache):
+    def test_full_run_path_used_where_eligible(self, shared_native_cache):
         # toyadmos/digital is all-dense, fully planned: the whole
         # network runs inside one native call
         _, soc, compiled = _compile_cell("toyadmos", "digital")
         idx = native_step_indices(compiled)
         assert full_run_eligible(compiled, frozenset(idx))
-        mod = load_native_module(compiled, cache_dir=shared_cache)
+        mod = load_native_module(compiled, cache_dir=shared_native_cache)
         assert mod is not None and mod.has_full_run
 
 

@@ -21,7 +21,7 @@ import pytest
 
 from repro import Executor, HTVM, compile_model
 from repro.core.config import TVM_CPU
-from repro.errors import ArtifactError, PlatformError
+from repro.errors import ArtifactError, PlatformError, SimulationError
 from repro.frontend.modelzoo import resnet8
 from repro.mapping import assign_targets, prepare_graph
 from repro.runtime import random_inputs
@@ -339,25 +339,41 @@ class TestDseService:
 # layering guard
 # ---------------------------------------------------------------------------
 
+#: names that were deleted for good; a reappearance anywhere under
+#: src/ means a per-object cost memo, the post-hoc accounting replay or
+#: a dead shim has crept back in next to runtime/accounting.py.
+_RETIRED = re.compile(
+    r"_cost_cache|_df_cost_cache|_last_use_cache|_account_steps"
+    r"|repro\.dispatch|depthfirst_exec")
+
+
 def test_no_direct_dianasoc_construction_outside_soc():
     """get_platform is the single construction path in the library.
 
     Tests, benchmarks and docs may keep using the public DianaSoC
     class; library modules outside soc/ must go through the registry
-    so plugin platforms are first-class everywhere.
+    so plugin platforms are first-class everywhere. The same source
+    walk keeps the retired executor memos and shims out of src/.
     """
     src = ROOT / "src" / "repro"
     offenders = []
     for path in src.rglob("*.py"):
-        if (src / "soc") in path.parents:
-            continue
+        in_soc = (src / "soc") in path.parents
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
-            if re.search(r"\bDianaSoC\s*\(", line):
+            if (_RETIRED.search(line)
+                    or not in_soc and re.search(r"\bDianaSoC\s*\(", line)):
                 offenders.append(f"{path.relative_to(ROOT)}:{lineno}: "
                                  f"{line.strip()}")
     assert not offenders, (
-        "direct DianaSoC construction outside src/repro/soc/ — use "
-        "repro.soc.get_platform instead:\n" + "\n".join(offenders))
+        "direct DianaSoC construction outside src/repro/soc/ (use "
+        "repro.soc.get_platform instead) or a retired name under src/:\n"
+        + "\n".join(offenders))
+
+
+def test_depthfirst_is_not_an_exec_mode():
+    with pytest.raises(SimulationError) as err:
+        Executor(get_platform("diana"), exec_mode="depthfirst")
+    assert "('tiled', 'fast', 'native')" in str(err.value)
 
 
 def test_cli_platforms_lists_builtins():

@@ -20,11 +20,11 @@ class TestSurface:
         import repro.baselines
         import repro.codegen
         import repro.core
-        import repro.dispatch
         import repro.dory
         import repro.eval
         import repro.frontend
         import repro.ir
+        import repro.mapping
         import repro.numerics
         import repro.patterns
         import repro.runtime
@@ -69,8 +69,3 @@ class TestQuickstartFlow:
         assert issubclass(ShapeError, ReproError)
         assert issubclass(TilingError, ReproError)
 
-    def test_runtime_numerics_shim(self):
-        # backwards-compatible import path
-        from repro.runtime import numerics as shim
-        import repro.numerics as top
-        assert shim.conv2d is top.conv2d
