@@ -20,13 +20,13 @@ from repro.dory import (
 from repro.eval.tables import format_table
 from repro.frontend.modelzoo import MLPERF_TINY, fig4_layers
 from repro.runtime.cost import cost_layer
-from repro.soc import DianaSoC
+from repro.soc import get_platform
 
 
-def test_ablation_memory_planner(report, benchmark):
+def test_ablation_memory_planner(report):
     """Buffer reuse shrinks the activation arena by large factors."""
     rows = []
-    soc = DianaSoC(enable_digital=False, enable_analog=False)
+    soc = get_platform("diana", enable_digital=False, enable_analog=False)
     for name, fn in sorted(MLPERF_TINY.items()):
         graph = fn()
         reuse = compile_model(graph, soc,
@@ -41,8 +41,6 @@ def test_ablation_memory_planner(report, benchmark):
             f"{naive.memory_plan.arena_bytes / max(reuse.memory_plan.arena_bytes, 1):.2f}x",
         ])
         assert reuse.memory_plan.arena_bytes <= naive.memory_plan.arena_bytes
-    benchmark(compile_model, MLPERF_TINY["resnet"](), soc,
-              TVM_CPU.with_overrides(check_l2=False))
     report(format_table(
         ["model", "naive arena kB", "planned arena kB", "reduction"],
         rows, title="Ablation 1 — L2 activation planning (reuse vs naive)"))
@@ -50,7 +48,7 @@ def test_ablation_memory_planner(report, benchmark):
 
 def test_ablation_heuristic_terms(report):
     """Contribution of each heuristic term across the Fig. 4 budgets."""
-    soc = DianaSoC()
+    soc = get_platform("diana")
     accel = soc.accelerator("soc.digital")
     rows = []
     for spec in fig4_layers():

@@ -15,12 +15,12 @@ from repro.extensions import (
 )
 from repro.frontend.modelzoo import MLPERF_TINY, mobilenet_v1
 from repro.patterns import default_specs, partition
-from repro.soc import DianaSoC, energy_by_target_uj, execution_energy_uj
+from repro.soc import energy_by_target_uj, execution_energy_uj, get_platform
 
 
 @pytest.fixture(scope="module")
 def energy_table():
-    params = DianaSoC().params
+    params = get_platform("diana").params
     rows = []
     values = {}
     for model in sorted(MLPERF_TINY):
@@ -37,9 +37,8 @@ def energy_table():
     return rows, values
 
 
-def test_energy_per_inference(report, energy_table, benchmark):
+def test_energy_per_inference(report, energy_table):
     rows, values = energy_table
-    benchmark(lambda: deploy("resnet", "digital", verify=False))
     report(format_table(
         ["model"] + [f"{c} uJ" for c in CONFIGS], rows,
         title="Extension — energy per inference (model estimate, uJ)"))

@@ -13,10 +13,7 @@ Paper claims reproduced:
 
 import pytest
 
-from repro.dory import DoryTiler, digital_heuristics
 from repro.eval import fig4
-from repro.frontend.modelzoo import fig4_layers
-from repro.soc import DEFAULT_PARAMS
 
 
 @pytest.fixture(scope="module")
@@ -24,12 +21,7 @@ def points():
     return fig4.sweep()
 
 
-def test_fig4_regenerate(report, points, benchmark):
-    spec = fig4_layers()[2]
-    tiler = DoryTiler("soc.digital", DEFAULT_PARAMS, digital_heuristics(),
-                      l1_budget=16 * 1024)
-    benchmark(tiler.solve, spec)
-
+def test_fig4_regenerate(report, points):
     report(fig4.format_fig4(points))
     speedup = fig4.max_heuristic_speedup(points)
     report(f"Fig. 4 headline: max heuristic speed-up = {speedup:.2f}x "

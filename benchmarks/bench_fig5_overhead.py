@@ -22,8 +22,7 @@ def points():
     return fig5.characterize()
 
 
-def test_fig5_regenerate(report, points, benchmark):
-    benchmark(fig5.characterize, series=["digital_conv_spatial"])
+def test_fig5_regenerate(report, points):
     report(fig5.format_fig5(points))
     stats = loss_stats(points)
     lines = ["Fig. 5 headline losses (ours vs paper):"]

@@ -20,8 +20,7 @@ def table():
     return run_table2()
 
 
-def test_table2_regenerate(report, table, benchmark):
-    benchmark(lambda: speedups(table))
+def test_table2_regenerate(report, table):
     report(format_table2(table))
     sp = speedups(table)
     lines = ["Table II headline claims (ours vs paper):"]

@@ -12,7 +12,7 @@ Run:  python examples/compiler_walkthrough.py
 
 import numpy as np
 
-from repro import DianaSoC, Executor, HTVM, compile_model
+from repro import Executor, HTVM, compile_model, get_platform
 from repro.mapping import assign_targets, dispatch_summary
 from repro.eval.timeline import render_timeline
 from repro.frontend import import_model
@@ -62,7 +62,7 @@ def main():
     partitioned = partition(graph, default_specs())
 
     banner("4. dispatching (rule checks + bit-width selection)")
-    soc = DianaSoC()
+    soc = get_platform("diana")
     dispatched, decisions = assign_targets(partitioned, soc)
     print(dispatch_summary(decisions))
 

@@ -16,7 +16,7 @@ from repro.dory import (
 from repro.eval.tables import format_table
 from repro.frontend.modelzoo import fig4_layers
 from repro.runtime.cost import cost_layer
-from repro.soc import DianaSoC
+from repro.soc import get_platform
 
 STRATEGIES = [
     ("only tile size (baseline)", no_heuristics),
@@ -26,7 +26,7 @@ STRATEGIES = [
 
 
 def main():
-    soc = DianaSoC()
+    soc = get_platform("diana")
     accel = soc.accelerator("soc.digital")
     layer = fig4_layers()[3]  # L3
     print(f"layer {layer.name}: C={layer.in_channels} K={layer.out_channels} "

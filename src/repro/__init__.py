@@ -39,8 +39,8 @@ from .runtime import (
     random_inputs_batched, run_reference, run_reference_batched,
 )
 from .soc import (
-    DEFAULT_PARAMS, DianaParams, DianaSoC, Platform, PlatformSpec,
-    get_platform, latency_ms, platform_names, register_platform,
+    DEFAULT_PARAMS, DianaParams, Platform, PlatformSpec, get_platform,
+    latency_ms, platform_names, register_platform,
 )
 
 __version__ = "1.0.0"
@@ -58,7 +58,7 @@ __all__ = [
     "BatchExecutionResult", "ExecutionResult", "Executor",
     "random_inputs", "random_inputs_batched",
     "run_reference", "run_reference_batched",
-    "DEFAULT_PARAMS", "DianaParams", "DianaSoC", "Platform",
+    "DEFAULT_PARAMS", "DianaParams", "Platform",
     "PlatformSpec", "get_platform", "latency_ms", "platform_names",
     "register_platform",
     "__version__",

@@ -1096,7 +1096,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="grid artifact path (default: %(default)s)")
     p.add_argument("--check", action="store_true",
                    help="re-price the grid and fail if --out drifted "
-                        "(the CI dse-smoke gate)")
+                        "(tier-1 runs the same gate on the default "
+                        "grid)")
     add_mapping_arg(p, default="dp")
     add_cache_args(p)
     p.set_defaults(fn=cmd_dse)

@@ -15,7 +15,7 @@ This generalizes the two earlier eval services it composes:
   cells concurrently (one cell = one ``analyze_mapping`` call), and
 * the ``MAPPING_DSE.json`` Pareto artifact of ``repro map --pareto``
   becomes the committed ``DSE_GRID.json`` (schema ``repro-dse/1``),
-  reproducibility-gated in CI exactly like the mapping artifact.
+  and tier-1 re-derives both files exactly.
 
 Each platform prices the zoo at the precision its spec declares
 (``PlatformSpec.model_precision``): the analog-only ablation explores
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,6 +36,7 @@ from ..errors import PlatformError, ReproError
 from ..frontend.modelzoo import MLPERF_TINY
 from ..mapping import analyze_mapping, make_objective, prepare_graph
 from ..soc import get_platform, get_platform_spec, latency_ms
+from .grid import fan_out, mark_pareto
 from .tables import format_table
 
 #: schema tag of the committed grid artifact.
@@ -113,11 +113,7 @@ def _mark_pareto(points: List[DsePoint]) -> None:
         if p.feasible:
             by_model.setdefault(p.model, []).append(p)
     for group in by_model.values():
-        for p in group:
-            p.pareto = not any(
-                (q.cycles <= p.cycles and q.energy_pj <= p.energy_pj
-                 and (q.cycles < p.cycles or q.energy_pj < p.energy_pj))
-                for q in group)
+        mark_pareto(group)
 
 
 def sweep_grid(platforms: Optional[Sequence[str]] = None,
@@ -131,7 +127,8 @@ def sweep_grid(platforms: Optional[Sequence[str]] = None,
 
     Cell order in the result is deterministic (the nested-loop order of
     the axes) regardless of ``jobs``, so the emitted artifact is
-    byte-stable — the property the CI ``dse-smoke`` gate relies on.
+    byte-stable — the property the ``DSE_GRID.json`` drift test in
+    ``tests/test_platforms.py`` relies on.
     """
     platforms = list(platforms) if platforms else list(DEFAULT_PLATFORMS)
     models = list(models) if models else sorted(MLPERF_TINY)
@@ -152,12 +149,7 @@ def sweep_grid(platforms: Optional[Sequence[str]] = None,
              for m in models
              for b in budgets_kb
              for o in objectives]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(
-                lambda c: _price_cell(*c, strategy, cache), cells))
-    else:
-        points = [_price_cell(*c, strategy, cache) for c in cells]
+    points = fan_out(lambda c: _price_cell(*c, strategy, cache), cells, jobs)
     _mark_pareto(points)
     return points
 

@@ -12,7 +12,6 @@ Latency is the full HTVM kernel-call cost on the digital accelerator.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -30,6 +29,7 @@ from .. import numerics as K
 from ..runtime.cost import cost_layer
 from ..runtime.executor import execute_layer_fast, execute_layer_tiled
 from ..soc import DianaParams, get_platform
+from .grid import fan_out
 from .tables import format_table
 
 STRATEGIES = {
@@ -133,10 +133,7 @@ def sweep(layers: Optional[Sequence[LayerSpec]] = None,
 
     tasks = [(spec, strat, budget) for spec in layers
              for strat in strategies for budget in budgets]
-    if jobs is None or jobs <= 1 or len(tasks) <= 1:
-        return [_point(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(_point, tasks))
+    return fan_out(_point, tasks, jobs)
 
 
 def max_heuristic_speedup(points: List[Fig4Point]) -> float:

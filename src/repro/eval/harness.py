@@ -14,7 +14,6 @@ Every run is verified bit-exact against the reference interpreter.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -27,6 +26,7 @@ from ..errors import OutOfMemoryError
 from ..frontend.modelzoo import MLPERF_TINY
 from ..runtime import ExecutionResult, Executor, random_inputs, run_reference
 from ..soc import DianaParams, get_platform, latency_ms
+from .grid import fan_out
 from .tables import format_table, fmt_ms
 from . import paper
 
@@ -185,16 +185,10 @@ def run_table1(models: Optional[List[str]] = None,
     models = models or sorted(MLPERF_TINY)
     configs = configs or list(CONFIGS)
     cells = [(m, c) for m in models for c in configs]
-    if jobs is None or jobs <= 1 or len(cells) <= 1:
-        return [deploy(m, c, params=params, verify=verify,
-                       exec_mode=exec_mode, mapping=mapping)
-                for m, c in cells]
-    with ThreadPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-        return list(pool.map(
-            lambda cell: deploy(cell[0], cell[1], params=params,
-                                verify=verify, exec_mode=exec_mode,
-                                mapping=mapping),
-            cells))
+    return fan_out(
+        lambda cell: deploy(*cell, params=params, verify=verify,
+                            exec_mode=exec_mode, mapping=mapping),
+        cells, jobs)
 
 
 def format_table1(results: List[DeploymentResult]) -> str:

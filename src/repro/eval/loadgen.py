@@ -8,13 +8,14 @@ completions from each rejection/failure class by its stable ``S-*``
 code, so chaos benchmarks can assert *zero lost requests* — accepted
 work either completed or failed with a typed serving error.
 
-Used by ``repro serve --fleet --load N`` and
-``benchmarks/bench_fleet.py``; see ``docs/RESILIENCE.md`` for the
-chaos matrix the benchmark runs under.
+Used by ``repro serve --fleet --requests N`` and the kill-a-worker
+scenario in ``benchmarks/bench_fleet.py``; see ``docs/RESILIENCE.md``
+for the chaos matrix that scenario runs under.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -31,8 +32,8 @@ def percentile(values: Sequence[float], q: float) -> float:
     if not values:
         return 0.0
     ordered = sorted(values)
-    rank = max(int(round(q / 100.0 * len(ordered) + 0.5)), 1)
-    return ordered[min(rank, len(ordered)) - 1]
+    rank = math.ceil(q / 100.0 * len(ordered))
+    return ordered[min(max(rank, 1), len(ordered)) - 1]
 
 
 @dataclass

@@ -22,6 +22,7 @@ from ..core.cache import get_default_cache
 from ..frontend.modelzoo import MLPERF_TINY
 from ..mapping import analyze_mapping, make_objective, prepare_graph
 from ..soc import get_platform, latency_ms
+from .grid import mark_pareto
 from .harness import CONFIGS
 from .tables import format_table
 
@@ -93,11 +94,7 @@ def sweep_model(model: str, config: str = "mixed",
                    counts, None, is_rules=True)
 
     points = sorted(by_sig.values(), key=lambda p: (p.cycles, p.energy_pj))
-    for p in points:
-        p.pareto = not any(
-            (q.cycles <= p.cycles and q.energy_pj <= p.energy_pj
-             and (q.cycles < p.cycles or q.energy_pj < p.energy_pj))
-            for q in points)
+    mark_pareto(points)
     return points
 
 

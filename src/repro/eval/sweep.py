@@ -14,12 +14,12 @@ scaling.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..errors import ReproError
 from ..soc import DianaParams
+from .grid import fan_out
 from .harness import deploy
 from .tables import format_table
 
@@ -76,11 +76,7 @@ def sweep_param(param: str, values: Sequence, model: str = "resnet",
             param, value, model, config,
             latency_ms=r.latency_ms, size_kb=r.size_kb, oom=r.oom)
 
-    values = list(values)
-    if jobs is None or jobs <= 1 or len(values) <= 1:
-        return [_point(v) for v in values]
-    with ThreadPoolExecutor(max_workers=min(jobs, len(values))) as pool:
-        return list(pool.map(_point, values))
+    return fan_out(_point, values, jobs)
 
 
 def l1_size_sweep(model: str = "resnet",

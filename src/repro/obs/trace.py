@@ -24,9 +24,10 @@ contract every instrumented hot path follows::
     else:
         ...work...
 
-``benchmarks/bench_obs.py`` measures the disabled-path guard and gates
-it at <= 2% of the fast-mode inference wall-clock (committed in
-``BENCH_obs.json``).
+``tests/test_obs.py::test_disabled_overhead_gate`` measures the
+disabled-path guard and gates it at <= 2% of the fast-mode inference
+wall-clock; the enabled cost is the ``obs.enabled_overhead_pct`` metric
+of ``BENCHMARK.json``.
 
 Cold paths (the compiler) use the :func:`trace_span` context manager,
 which no-ops when tracing is disabled.

@@ -366,8 +366,8 @@ class Executor:
                  batch: Optional[int]):
         # the whole per-step tracing cost when disabled is this one
         # global read plus one `is not None` branch per step — the
-        # guard benchmarks/bench_obs.py gates at <= 2% of fast-mode
-        # inference wall-clock
+        # guard tests/test_obs.py::test_disabled_overhead_gate holds at
+        # <= 2% of fast-mode inference wall-clock
         tracer = get_tracer()
         values = self._bind_feeds(model, feeds, batch)
         # everything modeled — cycles, L2 occupancy, the capacity check

@@ -2,9 +2,9 @@
 
 The simulator's fast executor evaluates a batch of N samples in one
 vectorized pass at far below N times the single-sample wall-clock
-(see ``BENCH_execute.json``), but requests arrive one at a time. A
-:class:`DynamicBatcher` closes that gap the way production inference
-servers do: requests queue per model, a worker thread coalesces
+(``runtime.batch_gain`` in ``BENCHMARK.json``), but requests arrive one
+at a time. A :class:`DynamicBatcher` closes that gap the way production
+inference servers do: requests queue per model, a worker thread coalesces
 whatever is waiting — up to ``max_batch_size`` requests or
 ``max_wait_ms`` of linger after the first one — and executes the
 coalesced batch through :meth:`~repro.runtime.Executor.run_batch`.

@@ -14,7 +14,6 @@ from .cpu import CpuModel
 from .digital import DigitalAccelerator
 from .analog import AnalogAccelerator
 from .platform import Platform
-from .diana import DianaSoC
 from .registry import (
     DEFAULT_PLATFORM, PlatformSpec, get_platform, get_platform_spec,
     platform_names, register_platform, unregister_platform, validate_spec,
@@ -30,7 +29,7 @@ __all__ = [
     "contiguous_chunks", "tile_transfer_cycles", "transfer_cycles",
     "KernelRecord", "PerfCounters",
     "CpuModel", "DigitalAccelerator", "AnalogAccelerator",
-    "Platform", "DianaSoC",
+    "Platform",
     "DEFAULT_PLATFORM", "PlatformSpec", "get_platform", "get_platform_spec",
     "platform_names", "register_platform", "unregister_platform",
     "validate_spec",

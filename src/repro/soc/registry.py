@@ -9,9 +9,8 @@ and platform instructions. This module is that porting surface:
   selection heuristic), validated at registration time,
 * :func:`register_platform` — decorator / function registration API,
 * :func:`get_platform` — the coordinator every compiler, runtime,
-  serving and eval entry point constructs platforms through. No module
-  outside ``soc/`` instantiates :class:`~repro.soc.diana.DianaSoC`
-  directly (guard-tested in ``tests/test_platforms.py``).
+  serving and eval entry point — and every test, benchmark and
+  example — constructs platforms through.
 
 Plugins register in one of three ways:
 

@@ -22,7 +22,7 @@ if _SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
                   if os.environ.get("PYTHONPATH") else []))
 
 from helpers import assert_compiled_matches_reference, build_small_cnn  # noqa: E402,F401 (re-export for stragglers)
-from repro.soc import DianaSoC  # noqa: E402
+from repro.soc import get_platform  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -36,22 +36,22 @@ def shared_native_cache(tmp_path_factory):
 @pytest.fixture
 def soc():
     """A full DIANA (digital + analog)."""
-    return DianaSoC()
+    return get_platform("diana")
 
 
 @pytest.fixture
 def digital_soc():
-    return DianaSoC(enable_analog=False)
+    return get_platform("diana", enable_analog=False)
 
 
 @pytest.fixture
 def analog_soc():
-    return DianaSoC(enable_digital=False)
+    return get_platform("diana", enable_digital=False)
 
 
 @pytest.fixture
 def cpu_soc():
-    return DianaSoC(enable_digital=False, enable_analog=False)
+    return get_platform("diana", enable_digital=False, enable_analog=False)
 
 
 @pytest.fixture

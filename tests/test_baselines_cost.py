@@ -7,7 +7,7 @@ from repro.dory import DoryTiler, digital_heuristics, make_conv_spec, make_dense
 from repro.errors import OutOfMemoryError
 from repro.frontend.modelzoo import mobilenet_v1, resnet8
 from repro.runtime.cost import cost_layer
-from repro.soc import DEFAULT_PARAMS, DianaSoC, PerfCounters
+from repro.soc import DEFAULT_PARAMS, PerfCounters, get_platform
 from repro.soc.perf import KernelRecord
 
 
@@ -48,7 +48,7 @@ class TestNaiveTiling:
 
 class TestCostAccounting:
     def _cost(self, spec, budget=None, target="soc.digital"):
-        soc = DianaSoC()
+        soc = get_platform("diana")
         tiler = DoryTiler(target, soc.params, digital_heuristics(),
                           l1_budget=budget)
         sol = tiler.solve(spec)

@@ -10,12 +10,12 @@ from repro.dory import (
 from repro.errors import TilingError
 from repro.eval import run_table1
 from repro.frontend.modelzoo import resnet8
-from repro.soc import DEFAULT_PARAMS, DianaSoC
+from repro.soc import DEFAULT_PARAMS, get_platform
 
 
 @pytest.fixture
 def digital_soc():
-    return DianaSoC(enable_analog=False)
+    return get_platform("diana", enable_analog=False)
 
 
 class TestCacheCore:

@@ -11,7 +11,7 @@ from repro.codegen.c_writer import CWriter
 from repro.core import HTVM, TVM_CPU, compile_model
 from repro.dory import DoryTiler, digital_heuristics, emit_accel_layer, make_conv_spec
 from repro.frontend.modelzoo import resnet8, toyadmos_dae
-from repro.soc import DEFAULT_PARAMS, DianaSoC
+from repro.soc import DEFAULT_PARAMS, get_platform
 from repro.transforms import fuse_cpu_ops
 from helpers import build_small_cnn
 
@@ -94,8 +94,8 @@ class TestSizeModel:
 
     def test_resnet_digital_binary_shrinks(self):
         # the paper's headline: ResNet binary shrinks ~12.3% vs plain TVM
-        cpu = DianaSoC(enable_digital=False, enable_analog=False)
-        dig = DianaSoC(enable_analog=False)
+        cpu = get_platform("diana", enable_digital=False, enable_analog=False)
+        dig = get_platform("diana", enable_analog=False)
         tvm = compile_model(resnet8(), cpu, TVM_CPU)
         htvm = compile_model(resnet8(), dig, HTVM)
         reduction = 1 - htvm.binary_size_bytes / tvm.binary_size_bytes
@@ -103,22 +103,22 @@ class TestSizeModel:
 
     def test_toyadmos_digital_binary_grows(self):
         # per-layer DORY drivers beat TVM's kernel sharing here
-        cpu = DianaSoC(enable_digital=False, enable_analog=False)
-        dig = DianaSoC(enable_analog=False)
+        cpu = get_platform("diana", enable_digital=False, enable_analog=False)
+        dig = get_platform("diana", enable_analog=False)
         tvm = compile_model(toyadmos_dae(), cpu, TVM_CPU)
         htvm = compile_model(toyadmos_dae(), dig, HTVM)
         assert htvm.binary_size_bytes > tvm.binary_size_bytes
 
     def test_ternary_weights_smaller_for_toyadmos(self):
-        dig = DianaSoC(enable_analog=False)
-        ana = DianaSoC(enable_digital=False)
+        dig = get_platform("diana", enable_analog=False)
+        ana = get_platform("diana", enable_digital=False)
         int8 = compile_model(toyadmos_dae(), dig, HTVM)
         tern = compile_model(toyadmos_dae(precision="ternary"), ana, HTVM)
         assert tern.size.weights < int8.size.weights
 
     def test_resnet_analog_padding_inflates_weights(self):
         # ternary is 2-bit, but macro row padding blows ResNet back up
-        ana = DianaSoC(enable_digital=False)
+        ana = get_platform("diana", enable_digital=False)
         tern = compile_model(resnet8(precision="ternary"), ana, HTVM)
         raw_ternary = resnet8(precision="ternary").weight_bytes()
         assert tern.size.weights > raw_ternary
@@ -157,7 +157,7 @@ class TestNetworkEmission:
         # toyadmos has 4 identical 128x128 FC layers sharing one kernel;
         # its prototype must appear exactly once in network.c
         g = toyadmos_dae()
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         model = compile_model(g, soc, HTVM)
         src = model.c_sources["network.c"]
         protos = re.findall(r"^void (\w+)\(.*\);$", src, re.M)

@@ -9,7 +9,7 @@ from repro.core import (
 from repro.errors import CodegenError, OutOfMemoryError
 from repro.frontend.modelzoo import mobilenet_v1, resnet8, toyadmos_dae
 from repro.runtime import Executor, random_inputs
-from repro.soc import DianaSoC
+from repro.soc import get_platform
 from helpers import build_small_cnn
 
 
@@ -45,7 +45,7 @@ class TestOutOfMemory:
             compile_model(mobilenet_v1(), cpu_soc, TVM_CPU)
 
     def test_mobilenet_htvm_fits(self):
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         model = compile_model(mobilenet_v1(), soc, HTVM)
         assert model.l2_required_bytes <= soc.params.l2_bytes
 

@@ -16,7 +16,7 @@ from repro.frontend.modelzoo import RandomNetConfig, random_cnn
 from repro.ir import Composite, graph_from_dict, graph_to_dict, graph_to_dot
 from repro.patterns import default_specs, partition
 from repro.runtime import random_inputs, run_reference
-from repro.soc import DianaSoC
+from repro.soc import get_platform
 from repro.transforms import fuse_cpu_ops
 
 
@@ -73,7 +73,7 @@ def test_dot_export_well_formed(seed):
 @given(st.integers(0, 10_000))
 def test_compile_execute_bit_exact_on_random_nets(seed):
     graph = random_cnn(seed, RandomNetConfig(max_stages=4))
-    soc = DianaSoC(enable_analog=False)
+    soc = get_platform("diana", enable_analog=False)
     model = compile_model(graph, soc, HTVM.with_overrides(check_l2=False))
     feeds = random_inputs(graph, seed=seed + 5)
     from repro.runtime import Executor
@@ -88,7 +88,7 @@ def test_compile_with_tiny_l1_still_bit_exact(seed):
     """Forcing aggressive tiling must never change results."""
     from repro.errors import TilingError
     graph = random_cnn(seed, RandomNetConfig(max_stages=3))
-    soc = DianaSoC(enable_analog=False)
+    soc = get_platform("diana", enable_analog=False)
     cfg = HTVM.with_overrides(l1_budget=2048, check_l2=False)
     try:
         model = compile_model(graph, soc, cfg)

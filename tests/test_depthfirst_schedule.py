@@ -29,7 +29,7 @@ from repro.frontend.modelzoo import MLPERF_TINY
 from repro.mapping import analyze_mapping, chain_candidate, prepare_graph
 from repro.runtime import EXEC_MODES, Executor, random_inputs, run_reference
 from repro.serve import load_artifact, save_artifact
-from repro.soc import DEFAULT_PARAMS, DianaSoC
+from repro.soc import DEFAULT_PARAMS, get_platform
 
 from helpers import build_small_cnn
 from test_depthfirst_exec import build_chain
@@ -39,7 +39,7 @@ def _compile_pair(model, config, depthfirst="on", l1_budget=16 * 1024):
     precision, soc_kwargs, cfg = CONFIGS[config]
     cfg = cfg.with_overrides(l1_budget=l1_budget, check_l2=False)
     graph = MLPERF_TINY[model](precision=precision)
-    soc = DianaSoC(**soc_kwargs)
+    soc = get_platform("diana", **soc_kwargs)
     fused = compile_model(graph, soc, cfg.with_overrides(
         depthfirst=depthfirst))
     base = compile_model(graph, soc, cfg)
@@ -187,7 +187,7 @@ class TestExecution:
         zoo model at every Table I configuration."""
         precision, soc_kwargs, cfg = CONFIGS[config]
         graph = MLPERF_TINY[model](precision=precision)
-        soc = DianaSoC(**soc_kwargs)
+        soc = get_platform("diana", **soc_kwargs)
         cfg = cfg.with_overrides(check_l2=False, depthfirst="on")
         fused = compile_model(graph, soc, cfg)
         feeds = random_inputs(graph, seed=7)
@@ -256,7 +256,7 @@ class TestExecution:
 class TestOomRescue:
     def test_auto_rescues_mobilenet_at_tight_l2(self):
         params = dataclasses.replace(DEFAULT_PARAMS, l2_bytes=320 * 1024)
-        soc = DianaSoC(params=params, enable_analog=False)
+        soc = get_platform("diana", params=params, enable_analog=False)
         graph = MLPERF_TINY["mobilenet"](precision="int8")
         with pytest.raises(OutOfMemoryError):
             compile_model(graph, soc, CompilerConfig())
@@ -274,7 +274,7 @@ class TestOomRescue:
         execute under its budget in every mode (a served artifact
         defaults to the fast executor)."""
         params = dataclasses.replace(DEFAULT_PARAMS, l2_bytes=320 * 1024)
-        soc = DianaSoC(params=params, enable_analog=False)
+        soc = get_platform("diana", params=params, enable_analog=False)
         graph = MLPERF_TINY["mobilenet"](precision="int8")
         fused = compile_model(graph, soc, CompilerConfig(depthfirst="auto"))
         feeds = random_inputs(graph, seed=8)
@@ -340,7 +340,7 @@ class TestThreading:
 
     def test_mapping_prices_fused_chains(self):
         precision, soc_kwargs, cfg = CONFIGS["digital"]
-        soc = DianaSoC(**soc_kwargs)
+        soc = get_platform("diana", **soc_kwargs)
         graph = prepare_graph(MLPERF_TINY["resnet"](precision=precision))
         plan = analyze_mapping(graph, soc,
                                cfg.with_overrides(depthfirst="on"))

@@ -20,7 +20,7 @@ from repro.runtime import (
     run_reference_batched,
 )
 from repro.runtime.reference import compile_plan
-from repro.soc import DianaSoC
+from repro.soc import get_platform
 
 
 def _records_equal(a, b):
@@ -60,7 +60,7 @@ class TestSingleLayerEquivalence:
         else:
             y = b.conv2d_requant(x, 20, kernel=3, strides=stride, padding=pad)
         graph = b.finish(y)
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         cfg = HTVM.with_overrides(l1_budget=2048, check_l2=False)
         _assert_modes_equal(graph, soc, cfg)
 
@@ -72,7 +72,7 @@ class TestSingleLayerEquivalence:
                              weight_dtype="ternary", shift=4,
                              out_dtype="int7")
         graph = b.finish(y)
-        soc = DianaSoC(enable_digital=False)
+        soc = get_platform("diana", enable_digital=False)
         cfg = HTVM.with_overrides(l1_budget=4096, check_l2=False)
         _assert_modes_equal(graph, soc, cfg)
 
@@ -84,7 +84,7 @@ class TestSingleLayerEquivalence:
         z = b.flatten(z)
         z = b.dense_requant(z, 10)
         graph = b.finish(z)
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         cfg = HTVM.with_overrides(l1_budget=1024, check_l2=False)
         _assert_modes_equal(graph, soc, cfg)
 
@@ -114,7 +114,7 @@ class TestPropertyEquivalence:
             y = b.conv2d_requant(x, k, kernel=f, strides=stride, padding=pad,
                                  relu=bool(seed % 2))
         graph = b.finish(y)
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         cfg = HTVM.with_overrides(l1_budget=budget, check_l2=False)
         try:
             _assert_modes_equal(graph, soc, cfg, seed=seed + 1)
@@ -125,7 +125,7 @@ class TestPropertyEquivalence:
     @given(st.integers(0, 2 ** 30))
     def test_random_network_fast_equals_tiled(self, seed):
         graph = random_cnn(seed, RandomNetConfig(max_stages=4))
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         cfg = HTVM.with_overrides(l1_budget=8 * 1024, check_l2=False)
         try:
             model, feeds, fast = _assert_modes_equal(graph, soc, cfg,
@@ -141,7 +141,7 @@ class TestBatchedExecution:
     @pytest.fixture
     def deployment(self):
         graph = random_cnn(3, RandomNetConfig(max_stages=4))
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         model = compile_model(
             graph, soc, HTVM.with_overrides(l1_budget=8 * 1024,
                                             check_l2=False))
@@ -186,7 +186,7 @@ class TestBatchedExecution:
         x = b.input("x", (1, 4, 6, 6), "int8")
         y = b.input("y", (1, 4, 6, 6), "int8")
         graph = b.finish(b.add_requant(x, y, shift=1))
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         model = compile_model(graph, soc, HTVM.with_overrides(check_l2=False))
         feeds = random_inputs_batched(graph, 3, seed=0)
         feeds["y"] = feeds["y"][:1]  # mismatched batch dims
@@ -242,4 +242,4 @@ class TestPlanCompiler:
 
     def test_unknown_exec_mode_raises(self):
         with pytest.raises(SimulationError, match="exec_mode"):
-            Executor(DianaSoC(), exec_mode="warp")
+            Executor(get_platform("diana"), exec_mode="warp")

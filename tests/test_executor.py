@@ -14,7 +14,7 @@ from repro.core.config import HTVM, TVM_CPU
 from repro.errors import SimulationError
 from repro.ir import GraphBuilder
 from repro.runtime import Executor, random_inputs, run_reference
-from repro.soc import DianaParams, DianaSoC
+from repro.soc import DianaParams, get_platform
 from helpers import assert_compiled_matches_reference, build_small_cnn
 
 
@@ -103,7 +103,7 @@ class TestTiledExecutionProperty:
         pad = 1 if f == 3 else 0
         graph = _single_conv_graph(c, k, hw, f, stride, pad, depthwise, seed)
         params = DianaParams()
-        soc = DianaSoC(params=params, enable_analog=False)
+        soc = get_platform("diana", params=params, enable_analog=False)
         cfg = HTVM.with_overrides(l1_budget=budget, check_l2=False)
         from repro.errors import TilingError
         try:
@@ -121,7 +121,7 @@ class TestTiledExecutionProperty:
         b = GraphBuilder(seed=seed)
         x = b.input("x", (1, c), "int8")
         graph = b.finish(b.dense_requant(x, k, relu=bool(seed % 2)))
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         model = compile_model(graph, soc, HTVM.with_overrides(check_l2=False))
         feeds = random_inputs(graph, seed=seed)
         result = Executor(soc).run(model, feeds)
@@ -136,7 +136,7 @@ class TestTiledExecutionProperty:
         x = b.input("x", (1, c, hw, hw), "int8")
         y = b.input("y", (1, c, hw, hw), "int8")
         graph = b.finish(b.add_requant(x, y, shift=1))
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         cfg = HTVM.with_overrides(l1_budget=1024, check_l2=False)
         from repro.errors import TilingError
         try:
@@ -161,7 +161,7 @@ class TestAnalogExecution:
                              weight_dtype="ternary", shift=4,
                              out_dtype="int7")
         graph = b.finish(y)
-        soc = DianaSoC(enable_digital=False)
+        soc = get_platform("diana", enable_digital=False)
         model = compile_model(graph, soc, HTVM.with_overrides(check_l2=False))
         comp_targets = [s.target for s in model.steps]
         assert "soc.analog" in comp_targets
@@ -176,7 +176,7 @@ class TestAnalogExecution:
         graph = b.finish(b.conv2d_requant(
             x, 16, kernel=3, padding=(1, 1), weight_dtype="ternary",
             shift=4, out_dtype="int7"))
-        soc = DianaSoC(enable_digital=False)
+        soc = get_platform("diana", enable_digital=False)
         # force row tiling with a small L1 budget
         model = compile_model(graph, soc, HTVM.with_overrides(
             l1_budget=8 * 1024, check_l2=False))

@@ -16,15 +16,15 @@ from repro.frontend.modelzoo import RandomNetConfig, random_cnn
 from repro.ir import graph_to_dot, save_dot
 from repro.runtime import Executor, random_inputs, run_reference
 from repro.soc import (
-    DEFAULT_ENERGY, DianaSoC, EnergyParams, energy_by_target_uj,
-    execution_energy_uj,
+    DEFAULT_ENERGY, EnergyParams, energy_by_target_uj,
+    execution_energy_uj, get_platform,
 )
 from helpers import build_small_cnn
 
 
 @pytest.fixture(scope="module")
 def executed():
-    soc = DianaSoC(enable_analog=False)
+    soc = get_platform("diana", enable_analog=False)
     graph = build_small_cnn()
     model = compile_model(graph, soc, HTVM)
     result = Executor(soc).run(model, random_inputs(graph, seed=0))
@@ -52,9 +52,9 @@ class TestEnergy:
         ana = deploy("resnet", "analog", verify=False)
         macs = 12.5e6
         e_dig = execution_energy_uj(dig.execution.perf,
-                                    DianaSoC().params)
+                                    get_platform("diana").params)
         e_ana = execution_energy_uj(ana.execution.perf,
-                                    DianaSoC().params)
+                                    get_platform("diana").params)
         # analog spends MUCH less on MACs, though overheads remain
         assert e_ana < e_dig
 
@@ -62,7 +62,7 @@ class TestEnergy:
         from repro.eval.harness import deploy
         cpu = deploy("resnet", "cpu-tvm", verify=False)
         dig = deploy("resnet", "digital", verify=False)
-        params = DianaSoC().params
+        params = get_platform("diana").params
         e_cpu = execution_energy_uj(cpu.execution.perf, params)
         e_dig = execution_energy_uj(dig.execution.perf, params)
         assert e_cpu / e_dig > 10  # "more than one order of magnitude"
@@ -130,7 +130,7 @@ class TestImporter:
 
     def test_compiles_end_to_end(self):
         graph = import_model(self.DESC, seed=1)
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         model = compile_model(graph, soc, HTVM)
         feeds = random_inputs(graph, seed=2)
         result = Executor(soc).run(model, feeds)
@@ -165,7 +165,7 @@ class TestRandomNet:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_nets_compile_and_verify(self, seed):
         graph = random_cnn(seed)
-        soc = DianaSoC()
+        soc = get_platform("diana")
         model = compile_model(graph, soc,
                               HTVM.with_overrides(check_l2=False))
         feeds = random_inputs(graph, seed=seed + 100)
@@ -196,7 +196,7 @@ class TestDot:
     def test_partitioned_colors(self, small_cnn):
         from repro.mapping import assign_targets
         from repro.patterns import default_specs, partition
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         g, _ = assign_targets(partition(small_cnn, default_specs()), soc)
         dot = graph_to_dot(g)
         assert "#d9ead3" in dot  # digital green

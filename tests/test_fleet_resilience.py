@@ -36,7 +36,7 @@ from repro.serve.resilience import (
     BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN, CircuitBreaker,
     CrashLoopBackoff, RetryPolicy,
 )
-from repro.soc import DianaSoC
+from repro.soc import get_platform
 
 from helpers import build_small_cnn
 
@@ -200,7 +200,7 @@ class TestFaultPlan:
 def artifact(tmp_path_factory):
     """One packed small-CNN deployment shared by the whole module."""
     graph = build_small_cnn(hw=8, channels=8)
-    soc = DianaSoC(enable_analog=False)
+    soc = get_platform("diana", enable_analog=False)
     path = tmp_path_factory.mktemp("fleet") / "small.dna"
     pack_model(graph, soc, CompilerConfig(), str(path))
     feeds = random_inputs(graph, seed=0)
@@ -391,6 +391,7 @@ class TestAdmissionControl:
                 fleet.submit(key, feeds)
             with pytest.raises(ServingOverloadError) as info:
                 fleet.submit(key, feeds)
+            assert info.value.code == "S-OVERLOAD"
             assert info.value.retryable
             assert info.value.retry_after > 0
             assert not info.value.shed
@@ -407,6 +408,7 @@ class TestAdmissionControl:
             fleet.submit(key, feeds)
             with pytest.raises(ServingOverloadError) as info:
                 fleet.submit(key, feeds, priority=-1)
+            assert info.value.code == "S-OVERLOAD"
             assert info.value.shed
             fleet.submit(key, feeds, priority=0)  # still admitted
             assert fleet.stats()[key]["shed"] == 1
@@ -441,6 +443,7 @@ class TestCircuitBreakerIntegration:
             assert fleet.stats()[key]["breaker_state"] == BREAKER_OPEN
             with pytest.raises(ServingUnavailableError) as info:
                 fleet.submit(key, feeds)
+            assert info.value.code == "S-UNAVAILABLE"
             assert info.value.retry_after is not None
             time.sleep(0.4)  # recovery window elapses
             out = fleet.infer(key, feeds, timeout=60)  # the probe
@@ -517,6 +520,23 @@ class TestOomFallback:
             assert stats["oom_deaths"] == 2
             assert stats["fallbacks"] == 1
             assert stats["completed"] == 1
+
+    def test_oom_without_retry_budget_fails_coded(self, artifact):
+        """With no retry budget the OOM death reaches the caller as a
+        coded, request-tagged error instead of being retried away."""
+        path, feeds, _ = artifact
+        plan = FaultPlan(rules=(
+            FaultRule(kind="oom_crash", worker=0, gen=0, nth=(1,)),))
+        with ServingFleet(_config(
+                faults=plan, retry=RetryPolicy(max_attempts=1))) as fleet:
+            key = fleet.add_deployment(path, key="m")
+            assert fleet.wait_ready(key, timeout=60)
+            fut = fleet.submit(key, feeds)
+            with pytest.raises(WorkerCrashError) as info:
+                fut.result(timeout=60)
+            assert info.value.code == "S-OOM"
+            assert info.value.request_id == fut.request_id
+            assert fleet.stats()[key]["oom_deaths"] == 1
 
 
 class TestShutdown:

@@ -14,7 +14,7 @@ from repro.errors import OutOfMemoryError
 from repro.eval.harness import CONFIGS
 from repro.frontend.modelzoo import MLPERF_TINY
 from repro.runtime import Executor, random_inputs, run_reference
-from repro.soc import DianaSoC, latency_ms
+from repro.soc import get_platform, latency_ms
 
 CELLS = [(m, c) for m in sorted(MLPERF_TINY) for c in CONFIGS]
 
@@ -23,7 +23,7 @@ CELLS = [(m, c) for m in sorted(MLPERF_TINY) for c in CONFIGS]
 def test_bit_exact_everywhere(model_name, config):
     precision, soc_kwargs, cfg = CONFIGS[config]
     graph = MLPERF_TINY[model_name](precision=precision)
-    soc = DianaSoC(**soc_kwargs)
+    soc = get_platform("diana", **soc_kwargs)
     try:
         model = compile_model(graph, soc, cfg)
     except OutOfMemoryError:
@@ -45,7 +45,7 @@ class TestRelativePerformance:
         for model_name, config in CELLS:
             precision, soc_kwargs, cfg = CONFIGS[config]
             graph = MLPERF_TINY[model_name](precision=precision)
-            soc = DianaSoC(**soc_kwargs)
+            soc = get_platform("diana", **soc_kwargs)
             try:
                 compiled = compile_model(graph, soc, cfg)
             except OutOfMemoryError:
@@ -103,14 +103,14 @@ class TestRelativePerformance:
 class TestMemoryBehaviour:
     def test_htvm_arena_much_smaller_than_tvm(self):
         graph = MLPERF_TINY["mobilenet"]()
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         htvm = compile_model(graph, soc, HTVM)
         tvm = compile_model(graph, soc, TVM_CPU.with_overrides(check_l2=False))
         assert htvm.memory_plan.arena_bytes < tvm.memory_plan.arena_bytes / 3
 
     def test_l2_peak_within_capacity(self):
         graph = MLPERF_TINY["resnet"]()
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         model = compile_model(graph, soc, HTVM)
         res = Executor(soc).run(model, random_inputs(graph, seed=0))
         assert res.l2_peak_bytes <= soc.params.l2_bytes

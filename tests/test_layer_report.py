@@ -6,12 +6,12 @@ from repro.core import HTVM, compile_model
 from repro.eval.layer_report import format_layer_report, layer_report
 from repro.frontend.modelzoo import resnet8
 from repro.runtime import Executor, random_inputs
-from repro.soc import DianaSoC
+from repro.soc import get_platform
 
 
 @pytest.fixture(scope="module")
 def reported():
-    soc = DianaSoC(enable_analog=False)
+    soc = get_platform("diana", enable_analog=False)
     graph = resnet8()
     model = compile_model(graph, soc, HTVM)
     result = Executor(soc).run(model, random_inputs(graph, seed=0))

@@ -15,6 +15,7 @@ Covers the acceptance contract of the cost-driven mapping refactor:
 """
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -33,15 +34,16 @@ from repro.mapping import (
 )
 from repro.mapping.engine import _is_linear, _site_edges
 from repro.runtime import Executor, random_inputs, run_reference
-from repro.soc import DianaSoC
+from repro.soc import get_platform
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 STRATEGIES = ("rules", "greedy", "dp")
 ACCEL_CONFIGS = ("digital", "analog", "mixed")
 
 
 def _setup(config):
     precision, soc_kwargs, cfg = CONFIGS[config]
-    return precision, DianaSoC(**soc_kwargs), cfg
+    return precision, get_platform("diana", **soc_kwargs), cfg
 
 
 def _partitioned(model, config):
@@ -240,6 +242,15 @@ class TestObjectivesAndPareto:
         back = json.loads(text)
         assert back["models"]["dscnn"]
         assert any(p["rules"] for p in back["models"]["dscnn"])
+
+    def test_committed_mapping_dse_reproduces(self):
+        """The exact drift gate on MAPPING_DSE.json: the full-zoo
+        weight sweep (dp mappings plus the rules baseline of every
+        model) must re-derive the committed file."""
+        from repro.eval.mapping_dse import artifact_record
+        committed = json.loads((ROOT / "MAPPING_DSE.json").read_text())
+        fresh = artifact_record(pareto_sweep(cache=TilingCache()))
+        assert json.loads(json.dumps(fresh)) == committed
 
 
 class TestSatellites:

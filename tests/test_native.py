@@ -30,7 +30,7 @@ from repro.eval.harness import CONFIGS
 from repro.frontend.modelzoo import MLPERF_TINY
 from repro.runtime import Executor, random_inputs
 from repro.serve import FleetConfig, ServingFleet, pack_model
-from repro.soc import DianaSoC
+from repro.soc import get_platform
 
 from helpers import build_small_cnn
 
@@ -45,7 +45,7 @@ ACCEL_CONFIGS = [c for c in CONFIGS if c != "cpu-tvm"]
 def _compile_cell(model, config):
     precision, soc_kwargs, cfg = CONFIGS[config]
     graph = MLPERF_TINY[model](precision=precision)
-    soc = DianaSoC(**soc_kwargs)
+    soc = get_platform("diana", **soc_kwargs)
     try:
         compiled = compile_model(graph, soc, cfg)
     except OutOfMemoryError:
@@ -168,9 +168,9 @@ class TestBuildCache:
             "from repro.codegen.build import build_stats, "
             "load_native_module\n"
             "from repro.core import CompilerConfig, compile_model\n"
-            "from repro.soc import DianaSoC\n"
+            "from repro.soc import get_platform\n"
             "from helpers import build_small_cnn\n"
-            "soc = DianaSoC(enable_analog=False)\n"
+            "soc = get_platform('diana', enable_analog=False)\n"
             "m = compile_model(build_small_cnn(), soc, CompilerConfig())\n"
             f"mod = load_native_module(m, cache_dir={str(tmp_path)!r})\n"
             "assert mod is not None, 'load failed'\n"
@@ -316,7 +316,7 @@ class TestEmission:
 class TestVerifierSidecar:
     def _pack(self, tmp_path):
         graph = build_small_cnn(hw=8, channels=8)
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         path = str(tmp_path / "m.dna")
         art = pack_model(graph, soc, CompilerConfig(), path)
         return path, art
@@ -361,7 +361,7 @@ class TestVerifierSidecar:
 class TestFleetNativeServing:
     def _artifact(self, tmp_path):
         graph = build_small_cnn(hw=8, channels=8)
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         path = str(tmp_path / "m.dna")
         pack_model(graph, soc, CompilerConfig(), path)
         feeds = random_inputs(graph, seed=0)

@@ -8,7 +8,7 @@ from repro.core import HTVM, compile_model
 from repro.errors import ShapeError
 from repro.ir import Call, GraphBuilder, TensorType, Var
 from repro.runtime import Executor, random_inputs, run_reference
-from repro.soc import DianaSoC
+from repro.soc import get_platform
 
 
 def var(shape, dt="int8", name="x"):
@@ -44,7 +44,7 @@ class TestConcatenate:
         merged = b.concatenate(left, right)
         out = b.conv2d_requant(merged, 4, kernel=1)
         g = b.finish(out)
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         model = compile_model(g, soc, HTVM)
         feeds = random_inputs(g, seed=1)
         result = Executor(soc).run(model, feeds)
@@ -101,7 +101,7 @@ class TestLutActivations:
         merged = b.concatenate(gate, act)
         out = b.conv2d_requant(merged, 4, kernel=1)
         g = b.finish(out)
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         model = compile_model(g, soc, HTVM)
         feeds = random_inputs(g, seed=4)
         result = Executor(soc).run(model, feeds)

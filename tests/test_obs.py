@@ -11,6 +11,7 @@ Covers the contracts ``docs/OBSERVABILITY.md`` promises:
 * registry thread-safety under a concurrent publish hammer;
 * exporter schemas — Chrome trace-event JSON and Prometheus text;
 * compile-pipeline and executor instrumentation producing spans;
+* the disabled-tracing guard costing <= 2% of a fast-mode inference;
 * **trace-context propagation across the fleet worker pipe**: the
   parent ids assigned in the front door survive pickling, and the
   spans shipped back from the worker process reconstruct one tree per
@@ -21,12 +22,16 @@ Covers the contracts ``docs/OBSERVABILITY.md`` promises:
 """
 
 import json
+import math
 import threading
+import time
 
 import pytest
 
 from repro.core import CompilerConfig, compile_model
 from repro.errors import ServingError, ServingOverloadError
+from repro.eval.harness import CONFIGS
+from repro.frontend.modelzoo import MLPERF_TINY
 from repro.obs import (
     MetricsRegistry, Span, Tracer, collect, disable_tracing,
     enable_tracing, fidelity_from_spans, format_fidelity, get_registry,
@@ -37,7 +42,7 @@ from repro.obs.metrics import Histogram
 from repro.runtime import Executor, random_inputs
 from repro.serve import FaultPlan, FaultRule, FleetConfig, ServingFleet
 from repro.serve.resilience import CircuitBreaker, RetryPolicy
-from repro.soc import DianaSoC
+from repro.soc import get_platform
 
 from helpers import build_small_cnn
 
@@ -289,7 +294,7 @@ class TestExporters:
 class TestInstrumentation:
     def test_compile_and_exec_spans(self):
         graph = build_small_cnn(hw=8, channels=8)
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         tracer = enable_tracing()
         model = compile_model(graph, soc, CompilerConfig())
         Executor(soc, exec_mode="fast").run(
@@ -313,7 +318,7 @@ class TestInstrumentation:
 
     def test_disabled_tracing_still_executes(self):
         graph = build_small_cnn(hw=8, channels=8)
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         model = compile_model(graph, soc, CompilerConfig())
         result = Executor(soc, exec_mode="fast").run(
             model, random_inputs(graph, seed=0))
@@ -322,7 +327,7 @@ class TestInstrumentation:
 
     def test_fidelity_report(self):
         graph = build_small_cnn(hw=8, channels=8)
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         model = compile_model(graph, soc, CompilerConfig())
         report = profile_model(model, soc, exec_mode="fast", runs=2)
         assert report["schema"] == "repro-fidelity/1"
@@ -358,6 +363,78 @@ class TestInstrumentation:
 
 
 # ---------------------------------------------------------------------------
+# disabled-overhead gate
+# ---------------------------------------------------------------------------
+
+GATE_PCT = 2.0  #: max disabled-tracing overhead on the fast path
+
+
+def _best_of(fn, reps):
+    """Minimum wall-clock of ``reps`` calls to ``fn`` (seconds)."""
+    best = float("inf")
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def _guard_cost_ns(iters=200_000):
+    """Per-step cost of the disabled-tracing guard, in nanoseconds.
+
+    Times exactly what the executor adds per step when tracing is off:
+    a ``get_tracer()`` module-global read plus an ``is not None``
+    branch, against a calibration loop without them.
+    """
+    assert get_tracer() is None
+    acc = 0
+
+    def with_guard():
+        nonlocal acc
+        for _ in range(iters):
+            tracer = get_tracer()
+            if tracer is not None:  # pragma: no cover - tracing is off
+                acc += 1
+
+    def bare_loop():
+        nonlocal acc
+        for _ in range(iters):
+            tracer = None
+            if tracer is not None:  # pragma: no cover
+                acc += 1
+
+    return max(_best_of(with_guard, 5) - _best_of(bare_loop, 5),
+               0.0) * 1e9 / iters
+
+
+def test_disabled_overhead_gate():
+    """``guard_ns * steps / fast_ns <= 2%`` on every zoo model.
+
+    Machine-portable (both sides scale with the host) and deliberately
+    pessimistic: the full microbenchmarked guard cost is charged to
+    every step of the fastest observed run. The *enabled* cost is not
+    gated here; it is ``obs.enabled_overhead_pct`` in BENCHMARK.json.
+    """
+    guard_ns = _guard_cost_ns()
+    precision, soc_kwargs, cfg = CONFIGS["digital"]
+    soc = get_platform("diana", **soc_kwargs)
+    executor = Executor(soc, exec_mode="fast")
+    for model in sorted(MLPERF_TINY):
+        graph = MLPERF_TINY[model](precision=precision)
+        compiled = compile_model(graph, soc, cfg)
+        feeds = random_inputs(graph, seed=1)
+        executor.run(compiled, feeds)  # warm caches
+        fast_s = _best_of(lambda: executor.run(compiled, feeds), 3)
+        steps = len(compiled.steps)
+        overhead_pct = 100.0 * guard_ns * steps / (fast_s * 1e9)
+        assert overhead_pct <= GATE_PCT, (
+            f"{model}: projected disabled-tracing overhead "
+            f"{overhead_pct:.3f}% exceeds the {GATE_PCT}% gate "
+            f"(guard {guard_ns:.1f} ns x {steps} steps over "
+            f"{fast_s * 1e3:.3f} ms)")
+
+
+# ---------------------------------------------------------------------------
 # fleet propagation (real worker processes)
 # ---------------------------------------------------------------------------
 
@@ -366,7 +443,7 @@ def obs_artifact(tmp_path_factory):
     from repro.serve import pack_model
 
     graph = build_small_cnn(hw=8, channels=8)
-    soc = DianaSoC(enable_analog=False)
+    soc = get_platform("diana", enable_analog=False)
     path = tmp_path_factory.mktemp("obs") / "small.dna"
     pack_model(graph, soc, CompilerConfig(), str(path))
     return str(path), random_inputs(graph, seed=0)
@@ -506,7 +583,7 @@ class TestServingMetrics:
         from repro.serve import InferenceServer
 
         graph = build_small_cnn(hw=8, channels=8)
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         model = compile_model(graph, soc, CompilerConfig())
         feeds = random_inputs(graph, seed=0)
         with InferenceServer(max_wait_ms=0.0) as server:
@@ -547,6 +624,17 @@ class TestServingMetrics:
         assert d["request_ids_by_code"]["S-EXEC"][0] == "m#000000"
         text = format_load_report(report)
         assert "S-EXEC: m#000000" in text and "more)" in text
+
+    @pytest.mark.parametrize("n", [4, 10, 20, 30, 100])
+    @pytest.mark.parametrize("q", [50, 95, 99])
+    def test_loadgen_percentile_is_nearest_rank(self, n, q):
+        """rank = ceil(q/100 * n): p50 of 10 is the 5th sample, p95 of
+        20 the 19th, p99 of 100 the 99th — never banker's-rounded up
+        to the maximum."""
+        from repro.eval.loadgen import percentile
+
+        samples = [float(v) for v in range(n, 0, -1)]  # unsorted 1..n
+        assert percentile(samples, q) == float(math.ceil(q / 100 * n))
 
 
 class TestCLI:

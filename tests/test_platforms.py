@@ -2,13 +2,13 @@
 
 Covers the refactor invariants:
 
-* ``get_platform`` is the single construction path and reproduces the
-  legacy ``DianaSoC`` platforms exactly,
+* ``get_platform`` is the single construction path,
 * platform identity flows into config/model fingerprints and ``.dna``
   artifacts (V-ART-012 rejects cross-platform loads),
 * the stock ``diana`` platform keeps every historical fingerprint
-  byte-exact (pinned hashes), and
-* no module outside ``soc/`` constructs ``DianaSoC`` directly.
+  byte-exact (pinned hashes),
+* the committed ``DSE_GRID.json`` re-derives exactly, and
+* the retired platform class and executor memos stay gone.
 """
 
 import pathlib
@@ -27,7 +27,7 @@ from repro.mapping import assign_targets, prepare_graph
 from repro.runtime import random_inputs
 from repro.serve import load_artifact, pack_model
 from repro.soc import (
-    DianaSoC, DianaParams, PlatformSpec, get_platform, get_platform_spec,
+    DianaParams, PlatformSpec, get_platform, get_platform_spec,
     platform_names, register_platform, unregister_platform, validate_spec,
 )
 from repro.soc.digital import DigitalAccelerator
@@ -134,17 +134,10 @@ class TestRegistry:
 
 
 # ---------------------------------------------------------------------------
-# coordinator: get_platform reproduces the legacy platforms
+# coordinator: get_platform builds the stock platform and its ablations
 # ---------------------------------------------------------------------------
 
 class TestCoordinator:
-    def test_diana_matches_legacy_dianasoc(self):
-        via_registry = get_platform("diana")
-        legacy = DianaSoC()
-        assert via_registry.params == legacy.params
-        assert list(via_registry.accelerators) == list(legacy.accelerators)
-        assert via_registry.name == "diana"
-
     @pytest.mark.parametrize("kwargs, names", [
         (dict(), ["soc.digital", "soc.analog"]),
         (dict(enable_analog=False), ["soc.digital"]),
@@ -320,12 +313,20 @@ class TestDseService:
         assert serial == threaded
 
     def test_committed_grid_is_valid(self):
+        """The exact drift gate: a fresh sweep of the full default
+        grid must reproduce the committed DSE_GRID.json cell for cell
+        (cycles, energy, mapping signature, Pareto marks)."""
         import json
-        from repro.eval.dse import validate_record
-        record = json.loads((ROOT / "DSE_GRID.json").read_text())
-        assert validate_record(record) == []
-        assert len(record["platforms"]) >= 2
-        assert len(record["models"]) >= 3
+        from repro.core.cache import TilingCache
+        from repro.eval.dse import (
+            artifact_record, diff_records, sweep_grid, validate_record,
+        )
+        committed = json.loads((ROOT / "DSE_GRID.json").read_text())
+        assert validate_record(committed) == []
+        fresh = json.loads(json.dumps(
+            artifact_record(sweep_grid(cache=TilingCache()))))
+        assert diff_records(committed, fresh) == []
+        assert fresh == committed
 
     def test_unknown_axis_fails_fast(self):
         from repro.eval.dse import sweep_grid
@@ -348,26 +349,27 @@ _RETIRED = re.compile(
 
 
 def test_no_direct_dianasoc_construction_outside_soc():
-    """get_platform is the single construction path in the library.
+    """get_platform is the single construction path, repo-wide.
 
-    Tests, benchmarks and docs may keep using the public DianaSoC
-    class; library modules outside soc/ must go through the registry
-    so plugin platforms are first-class everywhere. The same source
-    walk keeps the retired executor memos and shims out of src/.
+    The pre-registry DianaSoC class is deleted; its name must not
+    reappear in src/, tests/, benchmarks/ or examples/ (this function
+    is the one place allowed to spell it). The same walk keeps the
+    retired executor memos and shims out of src/.
     """
-    src = ROOT / "src" / "repro"
+    this_file = pathlib.Path(__file__).resolve()
     offenders = []
-    for path in src.rglob("*.py"):
-        in_soc = (src / "soc") in path.parents
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
-            if (_RETIRED.search(line)
-                    or not in_soc and re.search(r"\bDianaSoC\s*\(", line)):
-                offenders.append(f"{path.relative_to(ROOT)}:{lineno}: "
-                                 f"{line.strip()}")
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.resolve() == this_file:
+                continue
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                if (re.search(r"\bDianaSoC\b", line)
+                        or top == "src" and _RETIRED.search(line)):
+                    offenders.append(f"{path.relative_to(ROOT)}:{lineno}: "
+                                     f"{line.strip()}")
     assert not offenders, (
-        "direct DianaSoC construction outside src/repro/soc/ (use "
-        "repro.soc.get_platform instead) or a retired name under src/:\n"
-        + "\n".join(offenders))
+        "DianaSoC is gone (use repro.soc.get_platform) and the retired "
+        "executor names stay out of src/:\n" + "\n".join(offenders))
 
 
 def test_depthfirst_is_not_an_exec_mode():

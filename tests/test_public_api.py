@@ -50,12 +50,12 @@ class TestSurface:
 
 class TestQuickstartFlow:
     def test_readme_quickstart_works(self):
-        from repro import DianaSoC, Executor, HTVM, compile_model
+        from repro import Executor, HTVM, compile_model, get_platform
         from repro.frontend.modelzoo import resnet8
         from repro.runtime import random_inputs
 
         graph = resnet8(precision="int8")
-        soc = DianaSoC()
+        soc = get_platform("diana")
         model = compile_model(graph, soc, HTVM)
         result = Executor(soc).run(model, random_inputs(graph))
         assert result.total_cycles > 0

@@ -23,7 +23,7 @@ from repro.serve import (
     pack_model, save_artifact,
 )
 from repro.serve.batcher import DynamicBatcher
-from repro.soc import DianaSoC
+from repro.soc import get_platform
 
 from helpers import build_small_cnn
 
@@ -31,7 +31,7 @@ from helpers import build_small_cnn
 def _compile_cell(model: str, config: str):
     precision, soc_kwargs, cfg = CONFIGS[config]
     graph = MLPERF_TINY[model](precision=precision)
-    soc = DianaSoC(**soc_kwargs)
+    soc = get_platform("diana", **soc_kwargs)
     return graph, soc, cfg
 
 

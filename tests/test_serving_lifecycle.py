@@ -23,7 +23,7 @@ from repro.errors import ServingError
 from repro.runtime import Executor, random_inputs, run_reference
 from repro.serve import InferenceServer
 from repro.serve.batcher import DynamicBatcher, InferenceFuture
-from repro.soc import DianaSoC
+from repro.soc import get_platform
 
 from helpers import build_small_cnn
 
@@ -31,7 +31,7 @@ from helpers import build_small_cnn
 @pytest.fixture(scope="module")
 def small_deployment():
     graph = build_small_cnn(hw=8, channels=8)
-    soc = DianaSoC(enable_analog=False)
+    soc = get_platform("diana", enable_analog=False)
     compiled = compile_model(graph, soc, CompilerConfig())
     feeds = random_inputs(graph, seed=0)
     golden = np.asarray(run_reference(graph, feeds))

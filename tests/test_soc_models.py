@@ -8,8 +8,8 @@ from repro.dory import make_conv_spec, make_dense_spec
 from repro.errors import OutOfMemoryError, SimulationError
 from repro.ir import GraphBuilder
 from repro.soc import (
-    AnalogAccelerator, DEFAULT_PARAMS, DianaParams, DianaSoC,
-    DigitalAccelerator, MemoryRegion, contiguous_chunks, latency_ms,
+    AnalogAccelerator, DEFAULT_PARAMS, DianaParams, DigitalAccelerator,
+    MemoryRegion, contiguous_chunks, get_platform, latency_ms,
     tile_transfer_cycles, transfer_cycles,
 )
 
@@ -231,13 +231,13 @@ class TestCpuModel:
         b = GraphBuilder(seed=0)
         x = b.input("x", (1, 16, 16, 16), "int8")
         g = b.finish(b.conv2d_requant(x, 16, kernel=3, padding=(1, 1)))
-        soc = DianaSoC()
+        soc = get_platform("diana")
         cycles = soc.cpu.kernel_cycles(g)
         macs = g.total_macs()
         assert cycles > macs * DEFAULT_PARAMS.cpu_cycles_per_mac_conv
 
     def test_dwconv_slower_per_mac(self):
-        soc = DianaSoC()
+        soc = get_platform("diana")
         b1 = GraphBuilder(seed=0)
         x = b1.input("x", (1, 32, 16, 16), "int8")
         conv = b1.finish(b1.conv2d_requant(x, 32, kernel=3, padding=(1, 1)))
@@ -254,7 +254,7 @@ class TestPlatform:
         assert latency_ms(260000.0) == pytest.approx(1.0)
 
     def test_accelerator_lookup(self):
-        soc = DianaSoC()
+        soc = get_platform("diana")
         assert soc.accelerator("soc.digital").name == "soc.digital"
         from repro.errors import DispatchError
         with pytest.raises(DispatchError):

@@ -9,7 +9,7 @@ from repro.eval.sweep import (
 )
 from repro.frontend.modelzoo import resnet8
 from repro.runtime import validate_deployment
-from repro.soc import DianaSoC
+from repro.soc import get_platform
 from helpers import build_small_cnn
 
 
@@ -46,7 +46,7 @@ class TestSweep:
 class TestValidateDeployment:
     def test_pass_report(self):
         graph = build_small_cnn()
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         model = compile_model(graph, soc, HTVM)
         report = validate_deployment(model, soc, runs=3)
         assert report.passed
@@ -56,7 +56,7 @@ class TestValidateDeployment:
 
     def test_detects_broken_executor(self, monkeypatch):
         graph = build_small_cnn()
-        soc = DianaSoC(enable_analog=False)
+        soc = get_platform("diana", enable_analog=False)
         model = compile_model(graph, soc, HTVM)
 
         from repro.runtime import validate as v

@@ -9,7 +9,7 @@ from repro.dory import (
     make_dense_spec, no_heuristics, tiles_of,
 )
 from repro.errors import TilingError
-from repro.soc import DEFAULT_PARAMS, DianaSoC
+from repro.soc import DEFAULT_PARAMS
 
 
 def tiler(target="soc.digital", heuristics=None, budget=None):

@@ -26,7 +26,7 @@ from repro.ir import Call, Constant, TensorType, Var
 from repro.serve.artifact import (
     artifact_to_dict, load_artifact, save_artifact,
 )
-from repro.soc import DianaSoC
+from repro.soc import get_platform
 from repro.verify import (
     CHECK_SCHEMA, CODES, CheckResult, Diagnostic, Severity, assert_valid,
     check_artifact_dict, check_artifact_file, check_compiled_plan,
@@ -41,7 +41,7 @@ def _compile_cell(model: str, config: str):
     """Fresh (compiled, soc, cfg) for one zoo x Table I cell."""
     precision, soc_kwargs, cfg = CONFIGS[config]
     graph = MLPERF_TINY[model](precision=precision)
-    soc = DianaSoC(**soc_kwargs)
+    soc = get_platform("diana", **soc_kwargs)
     return compile_model(graph, soc, cfg), soc, cfg
 
 
@@ -169,7 +169,7 @@ class TestMemoryChecks:
         precision, soc_kwargs, cfg = CONFIGS["digital"]
         cfg = dataclasses.replace(cfg, depthfirst="on")
         graph = MLPERF_TINY["mobilenet"](precision=precision)
-        soc = DianaSoC(**soc_kwargs)
+        soc = get_platform("diana", **soc_kwargs)
         compiled = compile_model(graph, soc, cfg)
         assert compiled.depthfirst_chains, "expected a fused chain"
         ch = compiled.depthfirst_chains[0]
@@ -302,7 +302,7 @@ class TestCompilerIntegration:
         precision, soc_kwargs, cfg = CONFIGS["mixed"]
         checked = dataclasses.replace(cfg, verify_passes=True)
         graph = MLPERF_TINY["resnet"](precision=precision)
-        soc = DianaSoC(**soc_kwargs)
+        soc = get_platform("diana", **soc_kwargs)
         a = compile_model(graph, soc, cfg)
         graph2 = MLPERF_TINY["resnet"](precision=precision)
         b = compile_model(graph2, soc, checked)
@@ -321,7 +321,7 @@ class TestCompilerIntegration:
                      if isinstance(n, Call) and n.op == "right_shift")
         shift.inputs[1].value.data[...] = 40
         with pytest.raises(VerificationError, match="transform:"):
-            compile_model(graph, DianaSoC(**soc_kwargs), checked)
+            compile_model(graph, get_platform("diana", **soc_kwargs), checked)
 
 
 # ---------------------------------------------------------------------------
