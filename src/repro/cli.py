@@ -17,9 +17,8 @@ Model arguments accept either a zoo name (``resnet``, ``dscnn``,
 ``mobilenet``, ``toyadmos``) or a path to a JSON graph produced by
 :func:`repro.ir.save_graph`.
 
-Tiling solutions are memoized process-wide; ``--cache-file PATH``
-persists them across invocations (a warm run skips every DORY search)
-and ``--no-cache`` disables memoization. ``table1``/``fig4`` accept
+Tiling solutions are memoized in-process (the ``tiling cache:`` line
+reports hits and misses). ``table1``/``fig4`` accept
 ``--jobs N`` to evaluate independent cells/points concurrently.
 
 ``run``/``table1``/``fig4`` accept ``--exec-mode {tiled,fast,native}``:
@@ -98,10 +97,7 @@ import os
 import sys
 
 from . import eval as evaluation
-from .core import (
-    TilingCache, compile_model, get_default_cache,
-    set_default_cache,
-)
+from .core import compile_model, get_default_cache
 from .errors import OutOfMemoryError, ReproError
 from .eval.harness import CONFIGS
 from .frontend.modelzoo import MLPERF_TINY
@@ -147,14 +143,6 @@ def _setup(config: str, args=None):
         return (spec.model_precision, get_platform(platform),
                 cfg.with_overrides(platform=platform))
     return precision, get_platform("diana", **soc_kwargs), cfg
-
-
-def _setup_cache(args):
-    """Apply --no-cache / --cache-file to the process-wide cache."""
-    if getattr(args, "no_cache", False):
-        set_default_cache(None)
-    elif getattr(args, "cache_file", None):
-        set_default_cache(TilingCache(path=args.cache_file))
 
 
 def _print_cache_stats():
@@ -976,13 +964,6 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_cache_args(p):
-        p.add_argument("--cache-file",
-                       help="persist tiling solutions to this JSON file "
-                            "(warm runs skip the DORY search)")
-        p.add_argument("--no-cache", action="store_true",
-                       help="disable tiling-solution memoization")
-
     def add_exec_mode_arg(p, default="tiled"):
         p.add_argument("--exec-mode", choices=list(EXEC_MODES),
                        default=default,
@@ -1032,7 +1013,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", choices=list(CONFIGS), default="mixed")
     p.add_argument("--out-dir", help="write generated C sources here")
     p.add_argument("--dot", help="write a Graphviz rendering here")
-    add_cache_args(p)
     add_mapping_arg(p)
     add_depthfirst_arg(p)
     add_platform_arg(p)
@@ -1050,7 +1030,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2-kb", type=int, default=None,
                    help="shrink the platform L2 to this many kB "
                         "(exercises the memory-constrained scenario)")
-    add_cache_args(p)
     p.set_defaults(fn=cmd_df)
 
     p = sub.add_parser(
@@ -1072,7 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict --pareto to these models")
     p.add_argument("--out", default="MAPPING_DSE.json",
                    help="artifact path for --pareto (default: %(default)s)")
-    add_cache_args(p)
     add_depthfirst_arg(p)
     add_platform_arg(p)
     p.set_defaults(fn=cmd_map)
@@ -1099,7 +1077,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(tier-1 runs the same gate on the default "
                         "grid)")
     add_mapping_arg(p, default="dp")
-    add_cache_args(p)
     p.set_defaults(fn=cmd_dse)
 
     p = sub.add_parser(
@@ -1110,7 +1087,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="resnet")
     p.add_argument("--config", choices=list(CONFIGS), default="digital")
     p.add_argument("--jobs", type=int, default=1)
-    add_cache_args(p)
     add_mapping_arg(p)
     p.set_defaults(fn=cmd_sweep)
 
@@ -1125,7 +1101,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the Fig. 2-style execution timeline")
     p.add_argument("--layers", action="store_true",
                    help="print the per-layer cycle/energy report")
-    add_cache_args(p)
     add_exec_mode_arg(p)
     add_mapping_arg(p)
     add_depthfirst_arg(p)
@@ -1151,7 +1126,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the pack + artifact-check half of --grid")
     p.add_argument("--json", action="store_true",
                    help="emit the machine-readable repro-check/1 document")
-    add_cache_args(p)
     add_mapping_arg(p)
     add_depthfirst_arg(p)
     add_platform_arg(p)
@@ -1170,7 +1144,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also compile the native shared library next "
                         "to the artifact (exec-mode native loads it "
                         "without a toolchain on the serving host)")
-    add_cache_args(p)
     add_mapping_arg(p)
     add_depthfirst_arg(p)
     add_platform_arg(p)
@@ -1185,7 +1158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--platform", default=None,
                    help="reject the artifact unless it was packed for "
                         "this registered platform (V-ART-012)")
-    add_cache_args(p)
     p.set_defaults(fn=cmd_load)
 
     p = sub.add_parser(
@@ -1232,7 +1204,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "Prometheus text: all digits = HTTP port to "
                         "serve /metrics on, anything else = file to "
                         "write one dump to after serving")
-    add_cache_args(p)
     add_mapping_arg(p)
     add_depthfirst_arg(p)
     add_platform_arg(p)
@@ -1257,7 +1228,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "the worker-pipe boundary")
     p.add_argument("--workers", type=int, default=1,
                    help="fleet workers with --fleet (default: %(default)s)")
-    add_cache_args(p)
     add_exec_mode_arg(p, default="fast")
     add_mapping_arg(p)
     add_depthfirst_arg(p)
@@ -1280,7 +1250,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--jobs", type=int, default=1,
                            help="evaluate independent cells/points with "
                                 "this many concurrent workers")
-            add_cache_args(p)
         if name == "table1":
             add_exec_mode_arg(p)
             add_mapping_arg(p)
@@ -1297,16 +1266,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _setup_cache(args)
     try:
         return args.fn(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        cache = get_default_cache()
-        if cache is not None and cache.path:
-            cache.flush()
 
 
 if __name__ == "__main__":

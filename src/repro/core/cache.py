@@ -1,15 +1,13 @@
 """Tiling memoization: skip the DORY search when the answer is known.
 
-The tiling solver (:class:`~repro.dory.tiler.DoryTiler`) is exact but
-exhaustive: for every offloaded layer it walks a pruned ``(c_t, k_t)``
-candidate grid and binary-searches the feasible output-height frontier.
-The search is *deterministic*: its result depends only on
+The tiling solver (:class:`~repro.dory.tiler.DoryTiler`) is exact and
+*deterministic*: its result depends only on
 
 * the layer geometry (a :class:`~repro.dory.layer_spec.LayerSpec`
   minus its constant payloads — weights never influence tile shapes),
 * the accelerator target,
-* the heuristic set (each ``beta_i * H_i`` term, identified by name
-  and weight),
+* the heuristic set (each ``beta_i * H_i`` term, identified by name,
+  weight and scoring function),
 * the Eq. 1 ``alpha`` weight and the Eq. 2 ``l1_budget``,
 * the digital weight-memory capacity (the only platform constant the
   feasibility check reads besides the L1 budget).
@@ -21,12 +19,10 @@ repeats a layer geometry all hit. Infeasible outcomes
 (:class:`~repro.errors.TilingError`) are cached too — the Fig. 4
 budget sweep spends much of its time re-discovering infeasibility.
 
-An optional JSON-backed persistent layer (``path=``) lets repeated CLI
-or benchmark invocations skip the search across processes. Only the
-chosen tile configuration and its memory accounting are stored; on a
-hit the :class:`~repro.dory.tiling_types.TilingSolution` is rebuilt
-around the *caller's* spec, so constant payloads are never serialized
-and never stale.
+The memo lives in the process only: a cold solve is cheap enough that
+nothing is persisted across runs. On a hit the
+:class:`~repro.dory.tiling_types.TilingSolution` is rebuilt around the
+*caller's* spec, so constant payloads are never shared between layers.
 
 The cache is thread-safe (the ``jobs=N`` evaluation fan-out shares
 one), and a process-wide default instance is threaded through
@@ -36,18 +32,13 @@ one), and a process-wide default instance is threaded through
 
 from __future__ import annotations
 
-import atexit
-import json
-import os
-import sys
-import tempfile
 import threading
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..dory.heuristics import Heuristic
 from ..dory.layer_spec import LayerSpec
 from ..dory.tiler import DoryTiler
-from ..dory.tiling_types import TileConfig, TilingSolution
+from ..dory.tiling_types import TilingSolution
 from ..errors import TilingError
 
 #: LayerSpec fields that influence the tiling search. ``name``,
@@ -70,12 +61,8 @@ def spec_key(spec: LayerSpec) -> Tuple:
 
 
 def heuristics_key(heuristics: Sequence[Heuristic]) -> Tuple:
-    """Identity of a heuristic set: ordered ``(name, weight)`` pairs.
-
-    Custom heuristics reusing a built-in name *and* weight with a
-    different scoring function would collide; give them a fresh name.
-    """
-    return tuple((h.name, float(h.weight)) for h in heuristics)
+    """Identity of a heuristic set: ordered ``(name, weight, fn)`` triples."""
+    return tuple((h.name, float(h.weight), h.fn) for h in heuristics)
 
 
 def tiling_key(tiler: DoryTiler, spec: LayerSpec) -> Tuple:
@@ -90,44 +77,14 @@ def tiling_key(tiler: DoryTiler, spec: LayerSpec) -> Tuple:
     )
 
 
-def _freeze(obj):
-    """Recursively turn JSON lists back into hashable tuples."""
-    if isinstance(obj, list):
-        return tuple(_freeze(v) for v in obj)
-    return obj
-
-
 class TilingCache:
-    """Memoizes :meth:`DoryTiler.solve` results, with hit/miss counters.
+    """Memoizes :meth:`DoryTiler.solve` results, with hit/miss counters."""
 
-    Args:
-        path: optional JSON file backing the cache across processes.
-            Loaded (if present) at construction; new entries are
-            persisted in batches (plus a flush at interpreter exit),
-            since each save rewrites the whole snapshot — call
-            :meth:`flush` for a deterministic write point.
-        autosave: persist automatically as entries accumulate.
-        autosave_batch: write at most one snapshot per this many new
-            entries (1 = write on every miss).
-    """
-
-    def __init__(self, path: Optional[str] = None, autosave: bool = True,
-                 autosave_batch: int = 32):
+    def __init__(self):
         self._lock = threading.Lock()
-        self._save_lock = threading.Lock()  # keeps snapshots file-ordered
         self._entries: Dict[Tuple, dict] = {}
-        self._dirty = 0
         self.hits = 0
         self.misses = 0
-        self.path = path
-        self.autosave = autosave
-        self.autosave_batch = max(1, int(autosave_batch))
-        if path and os.path.exists(path):
-            self.load(path)
-        if path:
-            atexit.register(self.flush)
-
-    # -- core --------------------------------------------------------------
 
     def solve(self, tiler: DoryTiler, spec: LayerSpec) -> TilingSolution:
         """``tiler.solve(spec)``, memoized.
@@ -150,18 +107,16 @@ class TilingCache:
             with self._lock:
                 self.misses += 1
                 self._entries[key] = {"infeasible": True}
-            self._maybe_save()
             raise
         with self._lock:
             self.misses += 1
             self._entries[key] = {
-                "cfg": [sol.cfg.c_t, sol.cfg.k_t, sol.cfg.oy_t, sol.cfg.ox_t],
-                "l1": [sol.l1_in_bytes, sol.l1_out_bytes,
-                       sol.l1_weight_bytes],
+                "cfg": sol.cfg,
+                "l1": (sol.l1_in_bytes, sol.l1_out_bytes,
+                       sol.l1_weight_bytes),
                 "objective": sol.objective,
                 "needs_tiling": sol.needs_tiling,
             }
-        self._maybe_save()
         return sol
 
     @staticmethod
@@ -170,12 +125,11 @@ class TilingCache:
             raise TilingError(
                 f"{spec.name}: no feasible tiling for target {target} "
                 f"(cached infeasibility)")
-        c_t, k_t, oy_t, ox_t = entry["cfg"]
         in_b, out_b, w_b = entry["l1"]
         return TilingSolution(
-            spec=spec, cfg=TileConfig(c_t=c_t, k_t=k_t, oy_t=oy_t, ox_t=ox_t),
-            target=target, l1_in_bytes=in_b, l1_out_bytes=out_b,
-            l1_weight_bytes=w_b, objective=entry["objective"],
+            spec=spec, cfg=entry["cfg"], target=target, l1_in_bytes=in_b,
+            l1_out_bytes=out_b, l1_weight_bytes=w_b,
+            objective=entry["objective"],
             needs_tiling=entry["needs_tiling"],
         )
 
@@ -201,96 +155,6 @@ class TilingCache:
             self._entries.clear()
             self.hits = 0
             self.misses = 0
-
-    # -- persistence -------------------------------------------------------
-
-    def _maybe_save(self):
-        if not (self.path and self.autosave):
-            return
-        with self._lock:
-            self._dirty += 1
-            due = self._dirty >= self.autosave_batch
-        if due:
-            try:
-                self.save()
-            except OSError as exc:
-                # the cache is a performance layer: losing persistence
-                # must never fail a compile. Warn once and stop trying.
-                self.autosave = False
-                print(f"warning: tiling cache not persisted to "
-                      f"{self.path}: {exc}", file=sys.stderr)
-
-    def flush(self):
-        """Persist any unsaved entries (no-op without a path/changes)."""
-        with self._lock:
-            dirty = self._dirty
-        if self.path and dirty:
-            try:
-                self.save()
-            except OSError as exc:
-                print(f"warning: tiling cache not persisted to "
-                      f"{self.path}: {exc}", file=sys.stderr)
-
-    def save(self, path: Optional[str] = None):
-        """Atomically write all entries as ``{key, entry}`` records.
-
-        The snapshot goes to a uniquely-named temporary file in the
-        target directory and is moved into place with :func:`os.replace`,
-        so a reader (or a concurrent writer in another process or
-        another cache instance of this process) never observes a
-        partially-written or interleaved file — the worst outcome of a
-        concurrent flush race is last-writer-wins on a *complete*
-        snapshot, which :meth:`load` tolerates by design.
-        """
-        path = path or self.path
-        if not path:
-            raise ValueError("TilingCache has no backing path")
-        # serialize whole snapshots: without this, a writer holding an
-        # older (smaller) snapshot could replace the file after a newer
-        # one and drop entries
-        with self._save_lock:
-            with self._lock:
-                records = [{"key": list(k), "entry": e}
-                           for k, e in self._entries.items()]
-                in_snapshot = self._dirty
-            parent = os.path.dirname(os.path.abspath(path))
-            os.makedirs(parent, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=parent, prefix=os.path.basename(path) + ".", suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as f:
-                    json.dump({"version": 1, "entries": records}, f)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            with self._lock:
-                # entries added during the write stay dirty
-                self._dirty -= min(in_snapshot, self._dirty)
-
-    def load(self, path: str):
-        """Merge entries from a JSON file written by :meth:`save`.
-
-        A corrupt or unreadable file is treated as a cold cache (with a
-        warning): persisted tilings are disposable by design.
-        """
-        try:
-            with open(path) as f:
-                payload = json.load(f)
-            loaded = {_freeze(rec["key"]): rec["entry"]
-                      for rec in payload.get("entries", [])}
-        except (OSError, ValueError, KeyError, TypeError,
-                AttributeError) as exc:
-            # a corrupt/truncated/alien file must never fail a compile:
-            # start cold instead (the cache is a performance layer)
-            print(f"warning: ignoring unreadable tiling cache {path}: "
-                  f"{exc}", file=sys.stderr)
-            return
-        with self._lock:
-            self._entries.update(loaded)
 
 
 # -- process-wide default ----------------------------------------------------

@@ -12,6 +12,13 @@ Eqs. 3-4 reward tile sizes that fill all 16 PE rows/columns; Eq. 5
 rewards tall input tiles, which need fewer non-contiguous DMA bursts in
 the C-y-x activation layout. Each heuristic here is normalized to
 [0, 1] so the ``alpha``/``beta`` balance is scale-free.
+
+The solver scores every candidate tile of a layer at once: a heuristic
+receives a :class:`~repro.dory.tiling_types.TileConfig` whose fields
+are int64 NumPy columns and returns a float64 column (or a scalar that
+broadcasts). The same function prices a single config of plain ints,
+so heuristics use ``np.minimum`` / ``np.where``, never ``min`` / ``if``
+on tile fields.
 """
 
 from __future__ import annotations
@@ -19,13 +26,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List
 
+import numpy as np
+
 from .layer_spec import LayerSpec
 from .tiling_types import TileConfig
 
 
 @dataclass(frozen=True)
 class Heuristic:
-    """One ``beta_i * H_i`` term of the tiling objective."""
+    """One ``beta_i * H_i`` term of the tiling objective.
+
+    ``fn(spec, cfg)`` must be array-polymorphic: the solver calls it
+    with a ``cfg`` whose ``c_t`` / ``k_t`` / ``oy_t`` / ``ox_t`` are
+    int64 columns of candidate tiles and expects one score per row
+    (see the module docstring). Tiling memoization keys on ``fn``
+    itself, so two heuristics differing only in ``fn`` never share a
+    cached solution.
+    """
 
     name: str
     weight: float
@@ -35,7 +52,7 @@ class Heuristic:
         return self.weight * self.fn(spec, cfg)
 
 
-def _mod16_score(value: int) -> float:
+def _mod16_score(value):
     """Normalized ``(value - 1) mod 16``: 1.0 iff value is a multiple of 16."""
     return ((value - 1) % 16) / 15.0
 
@@ -58,7 +75,7 @@ def _h_pe_ix(spec: LayerSpec, cfg: TileConfig) -> float:
     """
     if spec.kind == "dense":
         return _mod16_score(cfg.k_t)
-    ix_t = min((cfg.ox_t - 1) * spec.strides[1] + spec.fx, spec.ix)
+    ix_t = np.minimum((cfg.ox_t - 1) * spec.strides[1] + spec.fx, spec.ix)
     return _mod16_score(ix_t)
 
 
@@ -83,7 +100,7 @@ def _h_analog_unroll(spec: LayerSpec, cfg: TileConfig) -> float:
     """Analog: "spatially unroll C and K as much as possible"."""
     rows = cfg.c_t * spec.fy * spec.fx if spec.kind != "dense" else cfg.c_t
     cols = cfg.k_t
-    return min(rows / 1152.0, 1.0) * min(cols / 512.0, 1.0)
+    return np.minimum(rows / 1152.0, 1.0) * np.minimum(cols / 512.0, 1.0)
 
 
 #: default betas: DORY's alpha/beta "control the balance between

@@ -13,15 +13,23 @@ plus the digital accelerator's private weight-memory capacity. The
 list the solver degrades to the hardware-agnostic "only tile size"
 baseline of Fig. 4.
 
-DORY formulates this as constraint programming; layer dimensions are
-small enough that an exhaustive search over a pruned candidate grid is
-exact and fast in Python.
+DORY formulates this as constraint programming. Here the search is
+array-shaped: the candidate grid ``(c_t, k_t, oy_t)`` is a set of NumPy
+int64 columns, Eq. 2 is priced over the whole grid at once by the same
+:func:`_l1_bytes` that prices a single :class:`TileConfig`, the maximal
+feasible ``oy_t`` per channel pair is a max along the ``oy_t`` axis, and
+Eq. 1 plus the tile counts are scored as columns. Only the tie-break
+(first-seen best, then fewest tiles, within ``1e-12``) is a Python loop,
+because that rule depends on the order of the scan.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+import numbers
+from typing import Optional, Sequence
+
+import numpy as np
 
 from ..errors import TilingError
 from ..soc.params import DianaParams
@@ -30,8 +38,8 @@ from .layer_spec import LayerSpec
 from .tiling_types import TileConfig, TilingSolution
 
 
-def _candidates(limit: int, include_all_up_to: int = 0) -> List[int]:
-    """Candidate tile sizes for a dimension of size ``limit``.
+def _candidates(limit: int, include_all_up_to: int = 0) -> np.ndarray:
+    """Candidate tile sizes for a dimension of size ``limit``, ascending.
 
     Divisors (perfectly even tilings), multiples of 8 (PE-friendly
     sizes) and the full size. ``include_all_up_to`` additionally adds
@@ -45,12 +53,15 @@ def _candidates(limit: int, include_all_up_to: int = 0) -> List[int]:
             cands.add(limit // d)
     cands.update(range(8, limit + 1, 8))
     cands.update(range(1, min(limit, include_all_up_to) + 1))
-    return sorted(cands)
+    return np.array(sorted(cands), dtype=np.int64)
 
 
 def _l1_bytes(spec: LayerSpec, cfg: TileConfig, target: str,
               payload_only: bool = False) -> tuple:
     """(in, out, weight) L1 bytes for the nominal tile (Eq. 2 LHS).
+
+    ``cfg``'s fields may be ints or broadcastable int64 columns; the
+    result has the matching shape.
 
     With ``payload_only`` the int32 partial-sum inflation of a C-tiled
     convolution is ignored: the Eq. 1 *objective* rewards memory spent
@@ -58,7 +69,7 @@ def _l1_bytes(spec: LayerSpec, cfg: TileConfig, target: str,
     physical 4-byte accumulator tile.
     """
     iy_t, ix_t = spec.input_tile_hw(cfg.oy_t, cfg.ox_t)
-    iy_t, ix_t = min(iy_t, spec.iy), min(ix_t, spec.ix)
+    iy_t, ix_t = np.minimum(iy_t, spec.iy), np.minimum(ix_t, spec.ix)
     if spec.kind == "dense":
         in_b = cfg.c_t
         out_b = cfg.k_t
@@ -74,14 +85,19 @@ def _l1_bytes(spec: LayerSpec, cfg: TileConfig, target: str,
     else:  # conv2d
         in_b = cfg.c_t * iy_t * ix_t
         # a C-tiled conv accumulates int32 partial sums in L1
-        out_elem = 1 if payload_only else (
-            4 if cfg.c_t < spec.in_channels else 1)
+        out_elem = 1 if payload_only else np.where(
+            cfg.c_t < spec.in_channels, 4, 1)
         out_b = cfg.k_t * cfg.oy_t * cfg.ox_t * out_elem
         w_b = cfg.k_t * cfg.c_t * spec.fy * spec.fx
     if target == "soc.analog":
         # ternary weights live inside the IMC macro, not in L1
         w_b = 0
     return in_b, out_b, w_b
+
+
+#: grid cells (channel pairs x oy_t values) priced per NumPy pass: one
+#: pass covers every MLPerf Tiny layer, larger layers are chunked
+_GRID_CELLS = 1 << 16
 
 
 def _full_config(spec: LayerSpec) -> TileConfig:
@@ -93,51 +109,55 @@ class DoryTiler:
     """Tiling solver bound to one accelerator target.
 
     Args:
-        target: ``"soc.digital"`` or ``"soc.analog"``.
+        target: ``"soc.digital"``, ``"soc.analog"`` or a registered
+            plugin accelerator; every target but the analog one keeps
+            weights in L1 and is tiled over C, K and rows.
         params: platform constants.
         heuristics: the ``beta_i * H_i`` terms; empty list = baseline.
-        alpha: weight of the memory-utilization term of Eq. 1.
-        l1_budget: Eq. 2 right-hand side; defaults to the platform's
-            256 kB shared L1 (Fig. 4 sweeps this downward).
+        alpha: weight of the memory-utilization term of Eq. 1 (finite).
+        l1_budget: Eq. 2 right-hand side, a positive integer; defaults
+            to the platform's 256 kB shared L1 (Fig. 4 sweeps this
+            downward).
+
+    Raises:
+        ValueError: on a non-finite ``alpha`` or an ``l1_budget`` that
+            is a bool, not an integer, or not positive.
     """
 
     def __init__(self, target: str, params: DianaParams,
                  heuristics: Sequence[Heuristic],
                  alpha: float = 1.0,
                  l1_budget: Optional[int] = None):
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, got {alpha!r}")
+        if l1_budget is not None and (
+                isinstance(l1_budget, bool)
+                or not isinstance(l1_budget, numbers.Integral)
+                or l1_budget <= 0):
+            raise ValueError(
+                f"l1_budget must be a positive integer, got {l1_budget!r}")
         self.target = target
         self.params = params
         self.heuristics = list(heuristics)
         self.alpha = alpha
         self.l1_budget = params.l1_bytes if l1_budget is None else int(l1_budget)
 
-    # -- constraints -------------------------------------------------------
+    # -- Eq. 2 and Eq. 1, on one config or on columns ------------------------
 
-    def _weight_budget_ok(self, spec: LayerSpec, cfg: TileConfig) -> bool:
-        if self.target != "soc.digital" or spec.kind == "add":
-            return True
-        if spec.kind == "dense":
-            w = cfg.k_t * cfg.c_t
-        elif spec.kind == "dwconv2d":
-            w = cfg.c_t * spec.fy * spec.fx
-        else:
-            w = cfg.k_t * cfg.c_t * spec.fy * spec.fx
-        return w <= self.params.dig_weight_bytes
-
-    def _feasible(self, spec: LayerSpec, cfg: TileConfig) -> bool:
+    def _feasible(self, spec: LayerSpec, cfg: TileConfig):
+        """Eq. 2 plus the digital weight-memory capacity."""
         in_b, out_b, w_b = _l1_bytes(spec, cfg, self.target)
-        if in_b + out_b + w_b > self.l1_budget:
-            return False
-        return self._weight_budget_ok(spec, cfg)
+        ok = in_b + out_b + w_b <= self.l1_budget
+        if self.target == "soc.digital":
+            ok = ok & (w_b <= self.params.dig_weight_bytes)
+        return ok
 
-    # -- objective -----------------------------------------------------------
-
-    def _objective(self, spec: LayerSpec, cfg: TileConfig) -> float:
+    def _objective(self, spec: LayerSpec, cfg: TileConfig):
         in_b, out_b, w_b = _l1_bytes(spec, cfg, self.target,
                                      payload_only=True)
         score = self.alpha * (in_b + out_b + w_b) / self.l1_budget
         for h in self.heuristics:
-            score += h(spec, cfg)
+            score = score + h(spec, cfg)
         return score
 
     # -- search -------------------------------------------------------------
@@ -150,158 +170,103 @@ class DoryTiler:
         """
         full = _full_config(spec)
         if self._feasible(spec, full):
-            in_b, out_b, w_b = _l1_bytes(spec, full, self.target)
-            return TilingSolution(
-                spec=spec, cfg=full, target=self.target,
-                l1_in_bytes=in_b, l1_out_bytes=out_b, l1_weight_bytes=w_b,
-                objective=self._objective(spec, full), needs_tiling=False,
-            )
+            return self._solution(spec, full,
+                                  float(self._objective(spec, full)),
+                                  needs_tiling=False)
 
-        best: Optional[TileConfig] = None
-        best_score = float("-inf")
-        for cfg in self._candidate_configs(spec):
-            if not self._feasible(spec, cfg):
-                continue
-            score = self._objective(spec, cfg)
+        cols = self._candidate_columns(spec)
+        scores = self._objective(spec, cols).tolist()
+        tiles = cols.num_tiles(spec).tolist()
+        best: Optional[int] = None
+        best_score, best_tiles = float("-inf"), 0
+        for i, (score, num) in enumerate(zip(scores, tiles)):
             if score > best_score + 1e-12 or (
                     abs(score - best_score) <= 1e-12 and best is not None
-                    and cfg.num_tiles(spec) < best.num_tiles(spec)):
-                best, best_score = cfg, score
+                    and num < best_tiles):
+                best, best_score, best_tiles = i, score, num
 
         if best is None:
             raise TilingError(
                 f"{spec.name}: no feasible tiling for target {self.target} "
                 f"within L1 budget {self.l1_budget} B"
             )
-        in_b, out_b, w_b = _l1_bytes(spec, best, self.target)
+        cfg = TileConfig(c_t=int(cols.c_t[best]), k_t=int(cols.k_t[best]),
+                         oy_t=int(cols.oy_t[best]), ox_t=spec.ox)
+        return self._solution(spec, cfg, best_score, needs_tiling=True)
+
+    def _solution(self, spec: LayerSpec, cfg: TileConfig, objective: float,
+                  needs_tiling: bool) -> TilingSolution:
+        in_b, out_b, w_b = _l1_bytes(spec, cfg, self.target)
         return TilingSolution(
-            spec=spec, cfg=best, target=self.target,
-            l1_in_bytes=in_b, l1_out_bytes=out_b, l1_weight_bytes=w_b,
-            objective=best_score, needs_tiling=True,
+            spec=spec, cfg=cfg, target=self.target,
+            l1_in_bytes=int(in_b), l1_out_bytes=int(out_b),
+            l1_weight_bytes=int(w_b), objective=objective,
+            needs_tiling=needs_tiling,
         )
 
-    def _max_feasible_oy(self, spec: LayerSpec, c_t: int, k_t: int,
-                         hi: Optional[int] = None) -> Optional[int]:
-        """Largest feasible oy_t for fixed channel tiles (binary search).
+    def _max_oy(self, spec: LayerSpec, c_t: np.ndarray,
+                k_t: np.ndarray) -> np.ndarray:
+        """Largest feasible oy_t per (c_t, k_t) pair, 0 where none is.
 
-        L1 bytes are monotone in oy_t, and so is the full objective
-        (memory term and the Eq. 5 H_DMA both grow with oy_t while the
-        PE heuristics ignore it), so per (c_t, k_t) only the maximal
-        feasible oy_t can be optimal.
-
-        ``hi`` caps the search from above: L1 use also grows with
-        ``k_t`` (and with ``c_t`` for depthwise/add layers), so the
-        max feasible oy_t of a *larger* channel tile can never exceed
-        that of a smaller one — callers walking the candidate grid in
-        ascending order pass the previous result to shrink the range.
+        Eq. 2 is priced over a trailing ``oy_t`` axis and reduced along
+        it. L1 use grows with ``oy_t``, so the feasible values form a
+        prefix of that axis and its maximum is the prefix's end. The
+        pairs are priced in chunks of at most ``_GRID_CELLS`` grid cells,
+        so peak memory stays flat however large the layer is.
         """
-        def make(oy: int) -> TileConfig:
-            return TileConfig(c_t=c_t, k_t=k_t, oy_t=oy, ox_t=spec.ox)
+        c_t, k_t = np.broadcast_arrays(c_t, k_t)
+        c, k = c_t.ravel(), k_t.ravel()
+        oy = np.arange(1, spec.oy + 1, dtype=np.int64)
+        step = max(1, _GRID_CELLS // oy.size)
+        out = np.empty(c.size, dtype=np.int64)
+        for lo in range(0, c.size, step):
+            grid = TileConfig(c_t=c[lo:lo + step, None],
+                              k_t=k[lo:lo + step, None],
+                              oy_t=oy, ox_t=spec.ox)
+            out[lo:lo + step] = np.where(self._feasible(spec, grid),
+                                         oy, 0).max(axis=-1)
+        return out.reshape(c_t.shape)
 
-        if not self._feasible(spec, make(1)):
-            return None
-        lo, hi = 1, min(spec.oy, hi if hi is not None else spec.oy)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._feasible(spec, make(mid)):
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+    def _candidate_columns(self, spec: LayerSpec) -> TileConfig:
+        """Candidate tiles as int64 columns, in the tie-break scan order.
 
-    def _channel_row_configs(self, spec: LayerSpec):
-        """(c_t, max oy_t) pairs for depthwise/add layers.
-
-        Feasibility is monotone in c_t for these kinds (every L1 term
-        scales with the channel tile), so the previous max oy_t caps
-        the next binary search and the first infeasible c_t ends the
-        walk.
+        Every candidate is feasible, and per channel tile only the
+        maximal feasible ``oy_t`` is kept: L1 bytes, the memory term and
+        the Eq. 5 H_DMA all grow with ``oy_t`` while the PE heuristics
+        ignore it, so a shorter row tile can never be optimal. The width
+        is never tiled (contiguous DMA), so ``ox_t`` is the layer width.
         """
-        cap = 32 if spec.kind == "dwconv2d" else 0
-        prev_oy: Optional[int] = None
-        for c_t in _candidates(spec.in_channels, include_all_up_to=cap):
-            oy = self._max_feasible_oy(spec, c_t, c_t, hi=prev_oy)
-            if oy is None:
-                break  # larger channel tiles only use more L1
-            prev_oy = oy
-            yield TileConfig(c_t=c_t, k_t=c_t, oy_t=oy, ox_t=spec.ox)
-
-    def _conv_configs(self, spec: LayerSpec):
-        """Pruned (c_t, k_t, max oy_t) grid for digital conv2d.
-
-        Two reductions over the naive k x c product:
-
-        * monotone reuse (always exact): for fixed c_t, L1 use grows
-          with k_t, so the max feasible oy_t is non-increasing along
-          ascending k_t — the previous result caps the binary search,
-          and the first k_t with no feasible row tile ends the k-walk;
-        * dominated-pair dedup (``alpha > 0`` only): for fixed c_t the
-          memory-payload term grows *strictly* with k_t at equal oy_t
-          and the built-in heuristics never decrease in k_t (Eq. 5
-          H_DMA grows, Eqs. 3-4 ignore it), so within a plateau of
-          equal max-oy the largest k_t strictly dominates — the rest
-          of the plateau is never yielded. With ``alpha == 0`` scores
-          can tie exactly and the solver's first-seen/fewest-tiles
-          tie-break must see every candidate, so the dedup is skipped.
-        """
-        k_cands = _candidates(spec.out_channels, include_all_up_to=32)
-        c_cands = _candidates(spec.in_channels, include_all_up_to=32)
-        oy_of = {}
-        for c_t in c_cands:
-            prev_oy: Optional[int] = None
-            for k_t in k_cands:
-                oy = self._max_feasible_oy(spec, c_t, k_t, hi=prev_oy)
-                if oy is None:
-                    break  # larger k tiles only use more L1/weight mem
-                prev_oy = oy
-                oy_of[c_t, k_t] = oy
-        if self.alpha <= 0:
-            # every score can tie exactly: the solver's first-seen /
-            # fewest-tiles tie-break must see all candidates in the
-            # legacy k-outer order to pick identically to the unpruned
-            # solver
-            for k_t in k_cands:
-                for c_t in c_cands:
-                    oy = oy_of.get((c_t, k_t))
-                    if oy is not None:
-                        yield TileConfig(c_t=c_t, k_t=k_t, oy_t=oy,
-                                         ox_t=spec.ox)
-            return
-        for c_t in c_cands:
-            plateau: Optional[TileConfig] = None
-            for k_t in k_cands:
-                oy = oy_of.get((c_t, k_t))
-                if oy is None:
-                    break
-                if plateau is not None and plateau.oy_t != oy:
-                    yield plateau
-                plateau = TileConfig(c_t=c_t, k_t=k_t, oy_t=oy, ox_t=spec.ox)
-            if plateau is not None:
-                yield plateau
-
-    def _candidate_configs(self, spec: LayerSpec):
-        """Candidate tile configurations for the layer kind."""
+        if spec.kind == "conv2d" and self.target != "soc.analog":
+            return self._conv_columns(spec)
         if spec.kind == "dense":
-            # feasibility (L1 + weight memory) is monotone in k_t: stop
-            # at the first infeasible candidate.
-            for k_t in _candidates(spec.out_channels, include_all_up_to=64):
-                cfg = TileConfig(c_t=spec.in_channels, k_t=k_t)
-                if not self._feasible(spec, cfg):
-                    break
-                yield cfg
-            return
-        if spec.kind in ("add", "dwconv2d"):
-            yield from self._channel_row_configs(spec)
-            return
-        if self.target == "soc.analog":
-            # weights sit in the macro; only row tiling is needed.
-            oy = self._max_feasible_oy(spec, spec.in_channels,
-                                       spec.out_channels)
-            if oy is not None:
-                yield TileConfig(c_t=spec.in_channels,
-                                 k_t=spec.out_channels, oy_t=oy,
-                                 ox_t=spec.ox)
-            return
-        # conv2d on digital: DORY tiles K, C (int32 partial sums) and
-        # the output height; the width is never tiled (contiguous DMA).
-        yield from self._conv_configs(spec)
+            k = _candidates(spec.out_channels, include_all_up_to=64)
+            c = np.full_like(k, spec.in_channels)
+        elif spec.kind == "conv2d":
+            # analog: weights sit in the macro; only rows are tiled
+            c = np.array([spec.in_channels], dtype=np.int64)
+            k = np.array([spec.out_channels], dtype=np.int64)
+        else:  # add / dwconv2d: one channel tile for input and output
+            cap = 32 if spec.kind == "dwconv2d" else 0
+            c = k = _candidates(spec.in_channels, include_all_up_to=cap)
+        oy = self._max_oy(spec, c, k)
+        ok = oy > 0
+        return TileConfig(c_t=c[ok], k_t=k[ok], oy_t=oy[ok], ox_t=spec.ox)
+
+    def _conv_columns(self, spec: LayerSpec) -> TileConfig:
+        """The (c_t, k_t, max oy_t) grid for a conv2d with L1 weights.
+
+        DORY tiles K, C (int32 partial sums) and the output height.
+        Every feasible pair is a candidate. The first-seen / fewest-tiles
+        tie-break depends on the scan order, which is c-outer, or
+        k-outer with ``alpha <= 0``, where without the memory term
+        exact ties between pairs are common.
+        """
+        c = _candidates(spec.in_channels, include_all_up_to=32)
+        k = _candidates(spec.out_channels, include_all_up_to=32)
+        oy = self._max_oy(spec, c[:, None], k[None, :])
+        if self.alpha <= 0:
+            ki, ci = np.nonzero(oy.T > 0)
+        else:
+            ci, ki = np.nonzero(oy > 0)
+        return TileConfig(c_t=c[ci], k_t=k[ki], oy_t=oy[ci, ki],
+                          ox_t=spec.ox)

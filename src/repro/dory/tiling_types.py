@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
@@ -24,6 +23,10 @@ class TileConfig:
 
     Edge tiles are smaller; :func:`tiles_of` enumerates the actual tile
     instances.
+
+    The tiling solver also builds configs whose fields are int64 NumPy
+    columns (one candidate per row); :meth:`num_tiles` and the Eq. 1-2
+    pricing functions accept either form.
     """
 
     c_t: int
@@ -34,14 +37,19 @@ class TileConfig:
     def reduction_blocks(self, spec: LayerSpec) -> int:
         """Input-channel partial-sum blocks (1 unless conv C is tiled)."""
         if spec.kind == "conv2d":
-            return math.ceil(spec.in_channels / self.c_t)
+            return _ceil_div(spec.in_channels, self.c_t)
         return 1
 
     def num_tiles(self, spec: LayerSpec) -> int:
-        return (math.ceil(spec.oy / self.oy_t)
-                * math.ceil(spec.ox / self.ox_t)
-                * math.ceil(spec.out_channels / self.k_t)
+        return (_ceil_div(spec.oy, self.oy_t)
+                * _ceil_div(spec.ox, self.ox_t)
+                * _ceil_div(spec.out_channels, self.k_t)
                 * self.reduction_blocks(spec))
+
+
+def _ceil_div(a, b):
+    """``ceil(a / b)`` in exact integer arithmetic (ints or columns)."""
+    return -(-a // b)
 
 
 @dataclass(frozen=True)

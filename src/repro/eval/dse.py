@@ -142,7 +142,7 @@ def sweep_grid(platforms: Optional[Sequence[str]] = None,
             raise PlatformError(
                 f"unknown model {m!r}; have {sorted(MLPERF_TINY)}")
     if cache is None:
-        cache = get_default_cache()  # honors the CLI --no-cache/--cache-file
+        cache = get_default_cache()
 
     cells = [(p, m, b, o)
              for p in platforms

@@ -1,11 +1,12 @@
 """Tiling-cache + parallel-evaluation tests (see docs/COSTMODEL.md)."""
 
+import numpy as np
 import pytest
 
 from repro.core import HTVM, TilingCache, compile_model
 from repro.core.cache import heuristics_key, spec_key, tiling_key
 from repro.dory import (
-    DoryTiler, digital_heuristics, make_conv_spec, no_heuristics,
+    DoryTiler, Heuristic, digital_heuristics, make_conv_spec, no_heuristics,
 )
 from repro.errors import TilingError
 from repro.eval import run_table1
@@ -92,137 +93,28 @@ class TestCacheCore:
                        l1_budget=8 * 1024)
         assert tiling_key(t1, a) != tiling_key(t2, a)
 
+    def test_key_distinguishes_heuristic_functions(self):
+        """Same name and weight, different scoring function: the two
+        tilers pick different tiles, and one shared cache must not hand
+        the second one the first one's answer."""
+        spec = make_conv_spec("c", 16, 16, 32, 32, padding=(1, 1))
 
-class TestPersistence:
-    def test_roundtrip_through_tmp_dir(self, tmp_path, digital_soc):
-        path = str(tmp_path / "tilings.json")
-        graph = resnet8(precision="int8")
+        def prefer_k4(spec, cfg):
+            return np.where(cfg.k_t == 4, 1.0, 0.0)
 
-        first = TilingCache(path=path)
-        compile_model(graph, digital_soc, HTVM, cache=first)
-        assert first.stats()["misses"] > 0
-        first.flush()  # saves batch + atexit normally; be deterministic
+        def prefer_k2(spec, cfg):
+            return np.where(cfg.k_t == 2, 1.0, 0.0)
 
-        # a fresh process-equivalent cache loads the file and never searches
-        second = TilingCache(path=path)
-        assert len(second) == len(first)
-        compile_model(graph, digital_soc, HTVM, cache=second)
-        assert second.stats()["misses"] == 0
-        assert second.stats()["hits"] > 0
+        def tiler(fn):
+            return DoryTiler("soc.digital", DEFAULT_PARAMS,
+                             [Heuristic("H", 0.25, fn)], l1_budget=16 * 1024)
 
-    def test_infeasible_roundtrip(self, tmp_path):
-        path = str(tmp_path / "tilings.json")
-        spec = make_conv_spec("c", 64, 64, 32, 32, padding=(1, 1))
-        tiler = DoryTiler("soc.digital", DEFAULT_PARAMS,
-                          digital_heuristics(), l1_budget=64)
-        first = TilingCache(path=path, autosave_batch=1)
-        with pytest.raises(TilingError):
-            first.solve(tiler, spec)
-        second = TilingCache(path=path)
-        with pytest.raises(TilingError):
-            second.solve(tiler, spec)
-        assert second.stats()["misses"] == 0
-
-
-class TestCrashAndParallelSafety:
-    """Regressions for the batched-persistence bug sweep: concurrent
-    flushes must never interleave bytes in the backing file, and a
-    corrupt/truncated file must mean a cold start, not a crash."""
-
-    def _solve_some(self, cache, n, offset=0):
-        tiler = DoryTiler("soc.digital", DEFAULT_PARAMS,
-                          digital_heuristics())
-        for i in range(n):
-            cache.solve(tiler, make_conv_spec(
-                f"c{i}", 8 + offset + i, 16, 16, 16, padding=(1, 1)))
-
-    def test_concurrent_flush_from_two_instances(self, tmp_path):
-        """Two cache instances (stand-ins for two processes) hammering
-        save() on the same file: every intermediate file state must be
-        a complete, loadable snapshot."""
-        import threading
-
-        path = str(tmp_path / "tilings.json")
-        a = TilingCache(path=path, autosave=False)
-        b = TilingCache(path=path, autosave=False)
-        self._solve_some(a, 6)
-        self._solve_some(b, 6, offset=40)
-
-        stop = threading.Event()
-        failures = []
-
-        def hammer(cache):
-            while not stop.is_set():
-                cache.save()
-
-        def read_back():
-            while not stop.is_set():
-                probe = TilingCache(autosave=False)
-                probe.load(path)  # would warn+cold on a torn file
-                if len(probe) not in (0, 6):
-                    failures.append(len(probe))
-
-        threads = [threading.Thread(target=hammer, args=(c,))
-                   for c in (a, b)] + [threading.Thread(target=read_back)]
-        for t in threads:
-            t.start()
-        import time
-        time.sleep(0.4)
-        stop.set()
-        for t in threads:
-            t.join(10)
-        assert not failures, f"torn snapshots observed: {failures}"
-        final = TilingCache(path=path)
-        assert len(final) == 6  # last complete snapshot, never a mix
-
-    def test_corrupt_file_starts_cold(self, tmp_path, capsys):
-        path = tmp_path / "tilings.json"
-        path.write_text("{ definitely not json")
-        cache = TilingCache(path=str(path))
-        assert len(cache) == 0
-        assert "ignoring unreadable" in capsys.readouterr().err
-        # and the cache still works end to end, overwriting the junk
-        self._solve_some(cache, 2)
-        cache.flush()
-        assert len(TilingCache(path=str(path))) == 2
-
-    def test_truncated_file_starts_cold(self, tmp_path):
-        path = tmp_path / "tilings.json"
-        good = TilingCache(path=str(path), autosave=False)
-        self._solve_some(good, 3)
-        good.save()
-        blob = path.read_bytes()
-        path.write_bytes(blob[:len(blob) // 2])  # simulate a crash
-        cache = TilingCache(path=str(path))
-        assert len(cache) == 0
-
-    def test_alien_json_starts_cold(self, tmp_path):
-        path = tmp_path / "tilings.json"
-        path.write_text("[1, 2, 3]")
-        assert len(TilingCache(path=str(path))) == 0
-
-    def test_atexit_flushes_unsaved_entries(self, tmp_path):
-        """A process that exits without an explicit flush still
-        persists its entries (the atexit hook)."""
-        import subprocess
-        import sys
-
-        path = str(tmp_path / "tilings.json")
-        code = (
-            "from repro.core.cache import TilingCache\n"
-            "from repro.dory import DoryTiler, digital_heuristics, "
-            "make_conv_spec\n"
-            "from repro.soc import DEFAULT_PARAMS\n"
-            f"cache = TilingCache(path={path!r}, autosave_batch=1000)\n"
-            "tiler = DoryTiler('soc.digital', DEFAULT_PARAMS, "
-            "digital_heuristics())\n"
-            "cache.solve(tiler, make_conv_spec('c', 8, 16, 16, 16, "
-            "padding=(1, 1)))\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, timeout=600)
-        assert proc.returncode == 0, proc.stderr
-        assert len(TilingCache(path=path)) == 1
+        fns = (prefer_k4, prefer_k2)
+        fresh = [tiler(fn).solve(spec).cfg.k_t for fn in fns]
+        assert fresh == [4, 2]
+        cache = TilingCache()
+        assert [cache.solve(tiler(fn), spec).cfg.k_t for fn in fns] == fresh
+        assert cache.stats()["misses"] == 2
 
 
 class TestParallelEvaluation:

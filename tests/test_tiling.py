@@ -1,5 +1,7 @@
 """Tiling solver + tile enumeration tests, incl. coverage properties."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +70,48 @@ class TestSolve:
         spec = make_conv_spec("c", 64, 128, 48, 48, padding=(1, 1))
         sol = tiler(budget=16 * 1024).solve(spec)
         assert sol.cfg.ox_t == spec.ox
+
+    @pytest.mark.parametrize("kind", ["conv2d", "dwconv2d"])
+    def test_chunked_grid_picks_the_same_tile(self, kind, monkeypatch):
+        import repro.dory.tiler as tiler_mod
+        spec = make_conv_spec("c", 48, 48, 24, 24, padding=(1, 1),
+                              depthwise=kind == "dwconv2d")
+        whole = tiler(budget=4 * 1024).solve(spec)
+        monkeypatch.setattr(tiler_mod, "_GRID_CELLS", 7)
+        assert tiler(budget=4 * 1024).solve(spec) == whole
+
+
+class TestInputHygiene:
+    """Bad solver knobs fail at construction, naming field and value,
+    instead of surfacing as a false infeasibility or a silent clamp."""
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha.*{alpha!r}"):
+            DoryTiler("soc.digital", DEFAULT_PARAMS, digital_heuristics(),
+                      alpha=alpha)
+
+    @pytest.mark.parametrize("budget", [True, False, 16896.0, "16384", 0, -1])
+    def test_bad_l1_budget_rejected(self, budget):
+        with pytest.raises(ValueError,
+                           match=f"l1_budget.*{re.escape(repr(budget))}"):
+            tiler(budget=budget)
+
+    def test_integral_budgets_accepted(self):
+        assert tiler(budget=np.int64(16384)).l1_budget == 16384
+        assert tiler().l1_budget == DEFAULT_PARAMS.l1_bytes
+
+    def test_nan_alpha_through_compile_model(self):
+        """Was a false 'no feasible tiling ... within L1 budget 16384 B'."""
+        from repro.core import HTVM, TilingCache, compile_model
+        from repro.frontend.modelzoo import resnet8
+        from repro.soc import get_platform
+        cfg = HTVM.with_overrides(alpha=float("nan"), l1_budget=16 * 1024)
+        with pytest.raises(ValueError, match="alpha"):
+            compile_model(resnet8(precision="int8"),
+                          get_platform("diana", enable_analog=False), cfg,
+                          cache=TilingCache())
 
 
 conv_geom = st.tuples(
