@@ -5,7 +5,7 @@ Prints the intermediate state after each box of the paper's Fig. 1:
 the ingested Relay-style graph, the optimized graph, the pattern
 matches, the dispatch decisions, the DORY tiling of one layer, the L2
 memory plan, a generated C driver, and finally the simulated execution
-with its Fig. 2-style timeline.
+with its per-layer report (cycles by phase for every kernel).
 
 Run:  python examples/compiler_walkthrough.py
 """
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro import Executor, HTVM, compile_model, get_platform
 from repro.mapping import assign_targets, dispatch_summary
-from repro.eval.timeline import render_timeline
+from repro.eval.layer_report import format_layer_report, layer_report
 from repro.frontend import import_model
 from repro.ir import graph_to_text
 from repro.patterns import default_specs, find_matches, partition
@@ -90,7 +90,7 @@ def main():
     exact = np.array_equal(result.output, run_reference(model.graph, feeds))
     print(f"bit-exact vs reference: {exact}")
     print()
-    print(render_timeline(result.perf))
+    print(format_layer_report(layer_report(model, result.perf, soc.params)))
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import Executor, HTVM, compile_model, get_platform, latency_ms
+from repro.eval.layer_report import format_layer_report, layer_report
 from repro.frontend.modelzoo import resnet8
 from repro.runtime import random_inputs, run_reference
 
@@ -52,9 +53,9 @@ def main():
     assert np.array_equal(result.output, reference)
     print("bit-exact vs reference interpreter: OK")
 
-    # 6. per-kernel cycle breakdown
-    print("\nper-kernel breakdown:")
-    print(result.perf.report())
+    # 6. per-layer breakdown: cycles by phase, share, MAC/cycle, energy
+    print()
+    print(format_layer_report(layer_report(model, result.perf, soc.params)))
 
 
 if __name__ == "__main__":

@@ -1,93 +1,35 @@
-"""Command-line interface.
+"""Command-line interface: ``python -m repro.cli COMMAND`` (``repro`` below).
 
-Usage (also available as ``python -m repro.cli``)::
+Paper artifacts and single deployments::
 
-    python -m repro.cli models
-    python -m repro.cli compile resnet --config digital --out-dir build/
-    python -m repro.cli run dscnn --config mixed --timeline
-    python -m repro.cli map resnet --config mixed --mapping dp
-    python -m repro.cli map --pareto
-    python -m repro.cli table1 --jobs 4
-    python -m repro.cli table2
-    python -m repro.cli fig4 --jobs 4
-    python -m repro.cli fig5
-    python -m repro.cli sweep l1_bytes 262144 65536 16384 --mapping dp
+    repro models                                  # the MLPerf Tiny zoo
+    repro compile resnet --config digital --out-dir build/
+    repro run dscnn --config mixed --layers       # + per-layer report
+    repro map resnet --config mixed --mapping dp  # mapping decision table
+    repro map --pareto                            # writes MAPPING_DSE.json
+    repro dse --check                             # DSE_GRID.json drift gate
+    repro df resnet --l2-kb 64                    # depth-first report
+    repro table1 --jobs 4 ; repro table2 ; repro fig4 ; repro fig5
+    repro sweep l1_bytes 262144 65536 16384 --mapping dp
 
-Model arguments accept either a zoo name (``resnet``, ``dscnn``,
-``mobilenet``, ``toyadmos``) or a path to a JSON graph produced by
-:func:`repro.ir.save_graph`.
+Serving (docs/SERVING.md), observability (docs/OBSERVABILITY.md) and
+static checks (docs/CHECKS.md)::
 
-Tiling solutions are memoized in-process (the ``tiling cache:`` line
-reports hits and misses). ``table1``/``fig4`` accept
-``--jobs N`` to evaluate independent cells/points concurrently.
+    repro pack resnet --config digital --out resnet.dna
+    repro load resnet.dna --check                 # bit-exact, no compile
+    repro serve resnet.dna dscnn --requests 64 --clients 4
+    repro trace resnet8 --fleet -o trace.json     # spans + per-layer report
+    repro stats --json
+    repro check --grid --json
 
-``run``/``table1``/``fig4`` accept ``--exec-mode {tiled,fast,native}``:
-``tiled`` simulates every DORY tile (the verification mode), ``fast``
-computes full layers at once — byte-identical outputs, identical cycle
-counts, much lower wall-clock — and ``native`` executes the generated C
-itself, compiled with the system toolchain and cached as a shared
-library next to the artifact (see docs/NATIVE.md; falls back to
-``fast`` per step without a compiler). A model compiled with
-``--depthfirst`` runs its fused chains patch by patch in every mode.
-``run --batch N`` simulates a batch of inferences through the batched
-runtime. ``pack --prebuild`` compiles the native library at pack time
-so serving hosts just map it.
-
-``compile``/``run``/``pack``/``serve`` accept ``--depthfirst
-{auto,on,off}`` to plan fused depth-first conv chains (MCUNetV2-style
-patch execution; see docs/DEPTHFIRST.md), and ``repro df [MODEL ...]``
-prints the measured schedule report (adopted chains, arena/L2-peak
-reduction, cycle overhead, bit-exactness) — ``--l2-kb`` shrinks L2 to
-exercise the memory-constrained scenario.
-
-``map`` prints the mapping decision table (per-layer candidates,
-costs, rejection reasons) for one model, or sweeps the latency/energy
-Pareto front across the zoo with ``--pareto`` (writes
-``MAPPING_DSE.json``). ``compile``/``run``/``table1``/``sweep`` accept
-``--mapping {rules,greedy,dp}`` to pick the target-selection strategy.
-
-Serving (see docs/SERVING.md)::
-
-    python -m repro.cli pack resnet --config digital --out resnet.dna
-    python -m repro.cli load resnet.dna --check
-    python -m repro.cli serve resnet.dna dscnn --requests 64 --clients 4
-
-``pack`` compiles into a self-contained ``.dna`` artifact, ``load``
-restores it without compiling (``--check`` proves bit-exactness + equal
-cycles vs. a fresh compile), and ``serve`` hosts any mix of artifacts
-and zoo models behind the dynamic-batching inference server — either an
-interactive request loop or ``--requests N --clients K`` load
-generation.
-
-Observability (see docs/OBSERVABILITY.md)::
-
-    python -m repro.cli trace resnet --exec-mode fast -o trace.json
-    python -m repro.cli trace resnet8 --fleet -o trace.json
-    python -m repro.cli stats --json
-    python -m repro.cli serve resnet --requests 64 --metrics metrics.prom
-
-``trace`` records one traced compile + inference as a span tree
-(Perfetto / ``chrome://tracing``-loadable JSON) and prints the
-model-fidelity table (measured host wall-time vs. the analytic cycle
-model, per step); ``--fleet`` routes the requests through real worker
-processes so the trace shows one request id crossing the worker-pipe
-boundary. ``stats`` prints the merged ``repro-stats/1`` snapshot
-federating batcher, server, fleet, tiling-cache, and native-build
-counters; ``serve --metrics <file|port>`` exposes the same snapshot in
-Prometheus text exposition format.
-
-Static checks (see docs/CHECKS.md)::
-
-    python -m repro.cli check resnet --config digital
-    python -m repro.cli check resnet.dna
-    python -m repro.cli check --grid --json
-
-``check`` runs the static verifier framework (:mod:`repro.verify`)
-over a fresh compile, a packed ``.dna`` artifact, or the whole zoo x
-Table I grid — graph legality, L2 plan soundness, tile coverage / L1
-budgets, and artifact integrity — and exits non-zero on any
-error-severity diagnostic (``--json`` emits the ``repro-check/1``
-report).
+Model arguments accept a zoo name (``resnet``, ``dscnn``,
+``mobilenet``, ``toyadmos``, or the paper's spellings) or a path to a
+JSON graph written by :func:`repro.ir.save_graph`. Every shared option
+(``--config``, ``--mapping``, ``--depthfirst``, ``--platform``,
+``--exec-mode``, ``--jobs``, ``--seed``, ``--models``) means the same
+on every command that takes it; ``repro COMMAND --help`` lists them. A
+deployment that does not fit L2 (the paper's MobileNet on plain TVM)
+prints ``OUT OF MEMORY`` and exits 2 from every command.
 """
 
 from __future__ import annotations
@@ -95,13 +37,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable, NamedTuple, Tuple
 
 from . import eval as evaluation
 from .core import compile_model, get_default_cache
 from .errors import OutOfMemoryError, ReproError
-from .eval.harness import CONFIGS
+from .eval.harness import CONFIGS, resolve_config
 from .frontend.modelzoo import MLPERF_TINY
 from .ir import load_graph
+from .mapping import STRATEGIES
 from .runtime import (
     EXEC_MODES, Executor, random_inputs, random_inputs_batched,
     run_reference, run_reference_batched,
@@ -127,22 +71,13 @@ def _load_model(name: str, precision: str):
         f"and not a file")
 
 
-def _setup(config: str, args=None):
-    precision, soc_kwargs, cfg = CONFIGS[config]
-    if args is not None and getattr(args, "mapping", None):
-        cfg = cfg.with_overrides(mapping_strategy=args.mapping)
-    if args is not None and getattr(args, "depthfirst", None):
-        cfg = cfg.with_overrides(depthfirst=args.depthfirst)
-    platform = (getattr(args, "platform", None)
-                if args is not None else None)
-    if platform and platform != "diana":
-        # non-default platform: its registered spec decides the
-        # accelerator set and the matching zoo precision, and the
-        # platform identity flows into the config fingerprint
-        spec = get_platform_spec(platform)
-        return (spec.model_precision, get_platform(platform),
-                cfg.with_overrides(platform=platform))
-    return precision, get_platform("diana", **soc_kwargs), cfg
+def _deployment(args, model: str):
+    """``(graph, soc, cfg)`` of one model argument under the shared
+    ``--config`` / ``--platform`` / ``--mapping`` / ``--depthfirst``."""
+    precision, soc, cfg = resolve_config(
+        args.config, platform=getattr(args, "platform", None),
+        mapping=args.mapping, depthfirst=args.depthfirst)
+    return _load_model(model, precision), soc, cfg
 
 
 def _print_cache_stats():
@@ -178,6 +113,15 @@ def _rules_target_summary(graph) -> str:
         counts[d.target] = counts.get(d.target, 0) + 1
     return " ".join(f"{t}x{n}" for t, n in
                     sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+
+
+def _write_json(path: str, record) -> None:
+    import json
+
+    with open(path, "w") as f:
+        json.dump(record, f, indent=2)
+        f.write("\n")
+    print(f"wrote {path}")
 
 
 def cmd_models(args) -> int:
@@ -224,13 +168,7 @@ def cmd_platforms(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    precision, soc, cfg = _setup(args.config, args)
-    graph = _load_model(args.model, precision)
-    try:
-        model = compile_model(graph, soc, cfg)
-    except OutOfMemoryError as exc:
-        print(f"OUT OF MEMORY: {exc}")
-        return 2
+    model = compile_model(*_deployment(args, args.model))
     print(model.summary())
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -248,15 +186,10 @@ def cmd_compile(args) -> int:
 
 
 def cmd_run(args) -> int:
-    precision, soc, cfg = _setup(args.config, args)
-    graph = _load_model(args.model, precision)
-    try:
-        model = compile_model(graph, soc, cfg)
-    except OutOfMemoryError as exc:
-        print(f"OUT OF MEMORY: {exc}")
-        return 2
-
     import numpy as np
+
+    graph, soc, cfg = _deployment(args, args.model)
+    model = compile_model(graph, soc, cfg)
     executor = Executor(soc, exec_mode=args.exec_mode)
     if args.batch > 1:
         feeds = random_inputs_batched(graph, args.batch, seed=args.seed)
@@ -281,14 +214,11 @@ def cmd_run(args) -> int:
                       energy_by_target_uj(result.perf, soc.params).items())
     print(f"energy  : {energy:.1f} uJ ({split})")
     print(f"bit-exact vs reference: {exact}")
-    if args.timeline:
-        from .eval.timeline import render_timeline
-        print()
-        print(render_timeline(result.perf))
     if args.layers:
         from .eval.layer_report import format_layer_report, layer_report
         print()
-        print(format_layer_report(layer_report(model, result, soc.params)))
+        print(format_layer_report(
+            layer_report(model, result.perf, soc.params)))
     return 0 if exact else 1
 
 
@@ -302,20 +232,14 @@ def cmd_map(args) -> int:
         points = pareto_sweep(models=args.models, config=args.config)
         print(format_mapping_dse(points))
         if args.out:
-            import json
-            record = artifact_record(points, config=args.config)
-            with open(args.out, "w") as f:
-                json.dump(record, f, indent=2)
-                f.write("\n")
-            print(f"wrote {args.out}")
+            _write_json(args.out, artifact_record(points, config=args.config))
         _print_cache_stats()
         return 0
 
     if not args.model:
         print("error: map needs a MODEL (or --pareto)", file=sys.stderr)
         return 2
-    precision, soc, cfg = _setup(args.config, args)
-    graph = _load_model(args.model, precision)
+    graph, soc, cfg = _deployment(args, args.model)
     plan = analyze_mapping(
         prepare_graph(graph), soc, cfg,
         objective=make_objective(args.objective, args.weight))
@@ -333,10 +257,9 @@ def cmd_dse(args) -> int:
     points = sweep_grid(platforms=args.platforms, models=args.models,
                         budgets_kb=args.budgets_kb,
                         objectives=args.objectives,
-                        strategy=args.mapping or "dp", jobs=args.jobs)
+                        strategy=args.mapping, jobs=args.jobs)
     print(format_dse(points))
-    record = artifact_record(points, strategy=args.mapping or "dp",
-                             jobs=args.jobs)
+    record = artifact_record(points, strategy=args.mapping, jobs=args.jobs)
 
     if args.check:
         import json
@@ -357,15 +280,8 @@ def cmd_dse(args) -> int:
             return 1
         print(f"\n{args.out}: committed grid reproduces "
               f"({len(record['grid'])} cells re-priced)")
-        _print_cache_stats()
-        return 0
-
-    if args.out:
-        import json
-        with open(args.out, "w") as f:
-            json.dump(record, f, indent=2)
-            f.write("\n")
-        print(f"wrote {args.out}")
+    elif args.out:
+        _write_json(args.out, record)
     _print_cache_stats()
     return 0
 
@@ -375,14 +291,14 @@ def cmd_df(args) -> int:
         format_depthfirst_reports, run_depthfirst_reports,
     )
 
-    models = args.models or None
     for m in args.models:
         if m not in MLPERF_TINY:
             print(f"error: unknown model {m!r}; have {sorted(MLPERF_TINY)}",
                   file=sys.stderr)
             return 2
     reports = run_depthfirst_reports(
-        models=models, config=args.config, mode=args.depthfirst,
+        models=args.models or None, config=args.config,
+        mode=args.depthfirst,
         l1_budget=args.l1_kb * 1024 if args.l1_kb else None,
         l2_bytes=args.l2_kb * 1024 if args.l2_kb else None)
     print(format_depthfirst_reports(reports))
@@ -401,18 +317,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _number(text: str):
-    """argparse type for sweep values: int when possible, else float."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-
-
 def cmd_check(args) -> int:
     import json
 
@@ -427,14 +331,9 @@ def cmd_check(args) -> int:
     elif args.target.endswith(".dna"):
         results = [verify_artifact(args.target, deep=True)]
     else:
-        precision, soc, cfg = _setup(args.config, args)
-        graph = _load_model(args.target, precision)
-        try:
-            compiled = compile_model(graph, soc, cfg)
-        except OutOfMemoryError as exc:
-            print(f"OUT OF MEMORY: {exc}")
-            return 2
-        result = verify_model(compiled, soc=soc, config=cfg)
+        graph, soc, cfg = _deployment(args, args.target)
+        result = verify_model(compile_model(graph, soc, cfg), soc=soc,
+                              config=cfg)
         result.target = f"{args.target}/{args.config}"
         results = [result]
 
@@ -452,17 +351,13 @@ def cmd_check(args) -> int:
 def cmd_pack(args) -> int:
     from .serve import pack_model
 
-    precision, soc, cfg = _setup(args.config, args)
-    graph = _load_model(args.model, precision)
+    graph, soc, cfg = _deployment(args, args.model)
+    precision = resolve_config(args.config, platform=args.platform)[0]
     out = args.out or f"{graph.name}-{args.config}.dna"
-    try:
-        art = pack_model(graph, soc, cfg, out,
-                         validate_runs=args.validate_runs,
-                         meta={"model": args.model, "config": args.config,
-                               "precision": precision, "seed": 0})
-    except OutOfMemoryError as exc:
-        print(f"OUT OF MEMORY: {exc}")
-        return 2
+    art = pack_model(graph, soc, cfg, out,
+                     validate_runs=args.validate_runs,
+                     meta={"model": args.model, "config": args.config,
+                           "precision": precision, "seed": 0})
     print(art.model.summary())
     print(f"packed {out} ({os.path.getsize(out)} B gzip)")
     print(f"config fingerprint : {art.config_fingerprint[:16]}")
@@ -474,7 +369,7 @@ def cmd_pack(args) -> int:
         import time
 
         from .codegen.build import (build_native_library, find_c_compiler,
-                                    library_path, native_cache_dir)
+                                    native_cache_dir)
 
         compiler = find_c_compiler()
         if compiler is None:
@@ -501,8 +396,7 @@ def cmd_load(args) -> int:
     from .serve import load_artifact
 
     t0 = time.perf_counter()
-    art = load_artifact(args.artifact,
-                        expected_platform=getattr(args, "platform", None))
+    art = load_artifact(args.artifact, expected_platform=args.platform)
     t1 = time.perf_counter()
     print(art.model.summary())
     print(f"loaded in {(t1 - t0) * 1e3:.1f} ms — no compilation "
@@ -550,8 +444,7 @@ def _serve_register(server, spec: str, args):
     if os.path.exists(spec) or spec.endswith(".dna"):
         art = load_artifact(spec)
         return server.register_artifact(art), art.model
-    precision, soc, cfg = _setup(args.config, args)
-    graph = _load_model(spec, precision)
+    graph, soc, cfg = _deployment(args, spec)
     compiled = compile_model(graph, soc, cfg)
     return server.register_model(compiled, soc), compiled
 
@@ -628,14 +521,14 @@ def _serve_interactive(server, served, args) -> int:
         line = line.strip()
         if not line or line in ("quit", "exit"):
             break
-        parts = line.split()
-        name, seed = parts[0], int(parts[1]) if len(parts) > 1 else 0
+        name, *rest = line.split()
         match = next((k for k in served
                       if k == name or k.split("@", 1)[0] == name), None)
         if match is None:
             print(f"  error: unknown model {name!r}; have {sorted(served)}")
             continue
         try:
+            seed = int(rest[0]) if rest else 0
             feeds = random_inputs(served[match].graph, seed=seed)
             fut = server.submit(match, feeds)
             out = fut.result(timeout=60)
@@ -653,19 +546,19 @@ def _serve_interactive(server, served, args) -> int:
 def _fleet_register(fleet, spec: str, args, tmpdir: str):
     """Register one ``--fleet`` positional: artifact path or zoo name.
 
-    The fleet hands workers an artifact *path*, so zoo names are
-    compiled and packed to a temporary ``.dna`` first.
+    Returns ``(key, LoadedArtifact)``. The fleet hands workers an
+    artifact *path*, so zoo names are compiled and packed to a
+    temporary ``.dna`` first.
     """
     from .serve import load_artifact, pack_model
 
     if os.path.exists(spec) or spec.endswith(".dna"):
         art = load_artifact(spec)  # parent-side load only for feeds
-        return fleet.add_deployment(spec, key=art.key), art.model
-    precision, soc, cfg = _setup(args.config, args)
-    graph = _load_model(spec, precision)
-    path = os.path.join(tmpdir, f"{spec}.dna")
-    compiled = pack_model(graph, soc, cfg, path)
-    return fleet.add_deployment(path, key=spec), compiled
+        return fleet.add_deployment(spec, key=art.key), art
+    graph, soc, cfg = _deployment(args, spec)
+    path = os.path.join(tmpdir, f"{graph.name}.dna")
+    art = pack_model(graph, soc, cfg, path)
+    return fleet.add_deployment(path, key=spec), art
 
 
 def _chaos_plan(seed: int):
@@ -701,18 +594,18 @@ def _serve_fleet(args) -> int:
             ServingFleet(cfg) as fleet:
         served = {}
         for spec in args.models:
-            key, compiled = _fleet_register(fleet, spec, args, tmpdir)
+            key, art = _fleet_register(fleet, spec, args, tmpdir)
             print(f"deployment {key}: {args.workers} worker(s), "
                   f"exec_mode={args.exec_mode}"
                   + (" [chaos]" if args.chaos else ""))
-            served[key] = compiled
+            served[key] = art.model
         for key in served:
             if not fleet.wait_ready(key, timeout=120):
                 print(f"error: deployment {key} failed to become ready",
                       file=sys.stderr)
                 return 1
         n = args.requests or 32
-        per_client = max(n // max(args.clients, 1), 1)
+        per_client = max(n // args.clients, 1)
         for key, compiled in served.items():
             feeds = random_inputs(compiled.graph, seed=args.seed)
             report = run_load(fleet, key, feeds, clients=args.clients,
@@ -724,7 +617,7 @@ def _serve_fleet(args) -> int:
                 rc = 1
         print()
         print(fleet.format_stats())
-        if getattr(args, "metrics", None):
+        if args.metrics:
             _emit_metrics(args.metrics, lambda: {"fleet": fleet.stats()})
         if rc:
             print("FAIL: lost or failed requests (see above)",
@@ -751,7 +644,7 @@ def cmd_serve(args) -> int:
             rc = _serve_load_loop(server, served, args)
         else:
             rc = _serve_interactive(server, served, args)
-        if getattr(args, "metrics", None):
+        if args.metrics:
             _emit_metrics(args.metrics, lambda: {"server": server.stats()})
         return rc
     finally:
@@ -760,13 +653,14 @@ def cmd_serve(args) -> int:
 
 def cmd_trace(args) -> int:
     """``repro trace``: record one traced compile + inference."""
-    from .obs import (
-        disable_tracing, enable_tracing, fidelity_from_spans,
-        format_fidelity, trace_span, write_chrome_trace,
+    from .eval.layer_report import (
+        format_layer_report, layer_report, measured_step_ms,
     )
+    from .obs import (
+        disable_tracing, enable_tracing, trace_span, write_chrome_trace,
+    )
+    from .runtime.accounting import account_model
 
-    precision, soc, cfg = _setup(args.config, args)
-    graph = _load_model(args.model, precision)
     enable_tracing()
     try:
         if args.fleet:
@@ -774,29 +668,25 @@ def cmd_trace(args) -> int:
             # shows request spans crossing the worker-pipe boundary
             import tempfile
 
-            from .serve import FleetConfig, ServingFleet, pack_model
-            with tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp:
-                path = os.path.join(tmp, f"{graph.name}.dna")
-                model = pack_model(graph, soc, cfg, path).model
-                fleet_cfg = FleetConfig(workers=args.workers,
-                                        exec_mode=args.exec_mode)
-                with ServingFleet(fleet_cfg) as fleet:
-                    key = fleet.add_deployment(path, key=graph.name)
-                    if not fleet.wait_ready(key, timeout=120):
-                        print("error: fleet failed to become ready",
-                              file=sys.stderr)
-                        return 1
-                    feeds = random_inputs(graph, seed=args.seed)
-                    futs = [fleet.submit(key, feeds)
-                            for _ in range(args.requests)]
-                    for fut in futs:
-                        fut.result(timeout=120)
+            from .serve import FleetConfig, ServingFleet
+            fleet_cfg = FleetConfig(workers=args.workers,
+                                    exec_mode=args.exec_mode)
+            with tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp, \
+                    ServingFleet(fleet_cfg) as fleet:
+                key, art = _fleet_register(fleet, args.model, args, tmp)
+                model, soc = art.model, art.soc
+                if not fleet.wait_ready(key, timeout=120):
+                    print("error: fleet failed to become ready",
+                          file=sys.stderr)
+                    return 1
+                feeds = random_inputs(model.graph, seed=args.seed)
+                futs = [fleet.submit(key, feeds)
+                        for _ in range(args.requests)]
+                for fut in futs:
+                    fut.result(timeout=120)
         else:
-            try:
-                model = compile_model(graph, soc, cfg)
-            except OutOfMemoryError as exc:
-                print(f"OUT OF MEMORY: {exc}")
-                return 2
+            graph, soc, cfg = _deployment(args, args.model)
+            model = compile_model(graph, soc, cfg)
             executor = Executor(soc, exec_mode=args.exec_mode)
             feeds = random_inputs(graph, seed=args.seed)
             for i in range(args.requests):
@@ -816,16 +706,12 @@ def cmd_trace(args) -> int:
                                                    0) + 1
     cats = ", ".join(f"{k}={v}" for k, v in sorted(by_cat.items()))
     print(f"wrote {args.out}: {len(spans)} spans ({cats})")
-    # only steps executed in the requested mode: with --fleet the trace
-    # also holds pack-time validation runs (tiled), which would skew
-    # the table
-    report = fidelity_from_spans(
-        [s for s in spans
-         if s.attrs.get("exec_mode", args.exec_mode) == args.exec_mode],
-        params=soc.params, model=model.name, exec_mode=args.exec_mode)
-    if report["rows"]:
-        print()
-        print(format_fidelity(report))
+    # host ms only from steps executed in the requested mode: with
+    # --fleet the trace also holds pack-time validation runs (tiled)
+    measured = measured_step_ms(spans, exec_mode=args.exec_mode)
+    print()
+    print(format_layer_report(layer_report(
+        model, account_model(model, soc), soc.params, measured)))
     return 0
 
 
@@ -958,309 +844,309 @@ def cmd_fig5(args) -> int:
     return 0
 
 
+# -- the command table ------------------------------------------------------
+
+
+def _number(text: str):
+    """argparse type for sweep values: int when possible, else float."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
+def _int_at_least(low: int, name: str):
+    """argparse type: an int >= ``low``, a usage error (exit 2) else."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = name
+    return parse
+
+
+POSITIVE_INT = _int_at_least(1, "positive_int")
+COUNT = _int_at_least(0, "count")
+
+Arg = Tuple[tuple, dict]
+
+
+def _arg(*flags, **kwargs) -> Arg:
+    return flags, kwargs
+
+
+#: shared options, each declared once; a command row names the ones it
+#: takes, optionally as ``(name, default)`` or ``(name, {overrides})``
+OPTIONS = {
+    "config": _arg(
+        "--config", choices=list(CONFIGS), default="mixed",
+        help="Table I configuration: model precision, enabled "
+             "accelerators and compiler flow (default: %(default)s)"),
+    "mapping": _arg(
+        "--mapping", choices=list(STRATEGIES), default=None,
+        help="target-selection strategy: 'rules' (weight-dtype policy), "
+             "'greedy' (cheapest candidate per layer) or 'dp' (global "
+             "cost-driven search)"),
+    "depthfirst": _arg(
+        "--depthfirst", choices=["auto", "on", "off"], default=None,
+        help="fused depth-first (patch-based) conv-chain schedules: "
+             "'auto' engages only when the activation arena exceeds the "
+             "L2 budget, 'on' fuses every eligible chain "
+             "(see docs/DEPTHFIRST.md)"),
+    "platform": _arg(
+        "--platform", default=None,
+        help="registered platform to compile for ('repro platforms' "
+             "lists them; plugins register via REPRO_PLATFORMS or "
+             "repro.soc.register_platform). Off the default 'diana', the "
+             "platform's spec picks the zoo precision and --config only "
+             "supplies the compiler knobs"),
+    "exec_mode": _arg(
+        "--exec-mode", choices=list(EXEC_MODES), default="tiled",
+        help="accelerator simulation path: 'tiled' executes every DORY "
+             "tile (verification mode), 'fast' computes full layers with "
+             "identical outputs and cycle counts, 'native' executes the "
+             "generated C via a cached shared library "
+             "(default: %(default)s)"),
+    "jobs": _arg(
+        "--jobs", type=POSITIVE_INT, default=1,
+        help="evaluate independent cells/points on this many threads "
+             "(default: %(default)s)"),
+    "seed": _arg("--seed", type=COUNT, default=0,
+                 help="input seed (default: %(default)s)"),
+    "models": _arg(
+        "--models", nargs="+", choices=sorted(MLPERF_TINY),
+        help="restrict the sweep to these zoo models (default: all)"),
+}
+
+
+class Command(NamedTuple):
+    """One subcommand: handler, help, own arguments, shared options."""
+
+    fn: Callable
+    help: str
+    args: Tuple[Arg, ...] = ()
+    options: tuple = ()
+
+
+_COMPILE_OPTS = ("config", "mapping", "depthfirst", "platform")
+
+COMMANDS = {
+    "models": Command(cmd_models, "list the model zoo"),
+    "platforms": Command(
+        cmd_platforms, "list registered platforms (built-ins + plugins)"),
+    "compile": Command(cmd_compile, "compile a model for a platform", (
+        _arg("model"),
+        _arg("--out-dir", help="write generated C sources here"),
+        _arg("--dot", help="write a Graphviz rendering here"),
+    ), _COMPILE_OPTS),
+    "df": Command(cmd_df, "depth-first (patch-based) schedule report", (
+        _arg("models", nargs="*",
+             help="zoo models (default: the whole zoo)"),
+        _arg("--l1-kb", type=POSITIVE_INT, default=None,
+             help="Eq. 2 tiling budget override in kB"),
+        _arg("--l2-kb", type=POSITIVE_INT, default=None,
+             help="shrink the platform L2 to this many kB "
+                  "(exercises the memory-constrained scenario)"),
+    ), (("config", "digital"),
+        ("depthfirst", {"choices": ["auto", "on"], "default": "on",
+                        "help": "planning mode to report "
+                                "(default: %(default)s)"}))),
+    "map": Command(
+        cmd_map, "print the mapping decision table / Pareto sweep", (
+            _arg("model", nargs="?",
+                 help="zoo model or graph JSON (omit with --pareto)"),
+            _arg("--objective", choices=["latency", "energy", "weighted"],
+                 default="latency",
+                 help="what cost-driven strategies minimize"),
+            _arg("--weight", type=float, default=0.5,
+                 help="latency/energy trade-off of --objective weighted "
+                      "(0 = latency, 1 = energy)"),
+            _arg("--pareto", action="store_true",
+                 help="sweep the weighted objective across the zoo and "
+                      "write the MAPPING_DSE.json artifact"),
+            _arg("--out", default="MAPPING_DSE.json",
+                 help="artifact path for --pareto (default: %(default)s)"),
+        ), ("config", ("mapping", "dp"), "depthfirst", "platform",
+            "models")),
+    "dse": Command(
+        cmd_dse, "platform x model x budget x objective DSE grid", (
+            _arg("--platforms", nargs="+", metavar="NAME",
+                 help="registered platforms to sweep (default: diana, "
+                      "diana-noanalog, diana-nodig; see `repro "
+                      "platforms`)"),
+            _arg("--budgets-kb", nargs="+", type=POSITIVE_INT,
+                 metavar="KB",
+                 help="L1 tiling budgets in kB (default: 64 256)"),
+            _arg("--objectives", nargs="+", choices=["latency", "energy"],
+                 help="mapping objectives to sweep (default: both)"),
+            _arg("--out", default="DSE_GRID.json",
+                 help="grid artifact path (default: %(default)s)"),
+            _arg("--check", action="store_true",
+                 help="re-price the grid and fail if --out drifted "
+                      "(tier-1 runs the same gate on the default grid)"),
+        ), ("models", "jobs", ("mapping", "dp"))),
+    "sweep": Command(
+        cmd_sweep, "sweep one platform parameter (recompile + simulate)", (
+            _arg("param", help="a DianaParams field, e.g. l1_bytes"),
+            _arg("values", nargs="+", type=_number,
+                 help="parameter values to sweep"),
+            _arg("--model", default="resnet"),
+        ), (("config", "digital"), "jobs", "mapping")),
+    "run": Command(cmd_run, "compile + simulate one inference", (
+        _arg("model"),
+        _arg("--batch", type=POSITIVE_INT, default=1,
+             help="simulate a batch of N inferences (N > 1 uses the "
+                  "batched runtime; verified per sample)"),
+        _arg("--layers", action="store_true",
+             help="print the per-layer report: cycles by phase, share, "
+                  "MAC/cycle, energy"),
+    ), _COMPILE_OPTS + ("seed", "exec_mode")),
+    "check": Command(
+        cmd_check,
+        "statically verify a compile or a .dna artifact "
+        "(see docs/CHECKS.md)", (
+            _arg("target", nargs="?",
+                 help="zoo model / graph JSON (compiled, then checked) "
+                      "or a .dna artifact path (checked without "
+                      "executing); omit with --grid"),
+            _arg("--grid", action="store_true",
+                 help="sweep every zoo model x Table I config, checking "
+                      "both the fresh compile and a packed artifact"),
+            _arg("--no-artifacts", action="store_true",
+                 help="skip the pack + artifact-check half of --grid"),
+            _arg("--json", action="store_true",
+                 help="emit the machine-readable repro-check/1 document"),
+        ), _COMPILE_OPTS + ("models",)),
+    "pack": Command(
+        cmd_pack, "compile a model into a .dna serving artifact", (
+            _arg("model"),
+            _arg("--out", help="artifact path "
+                               "(default: <model>-<config>.dna)"),
+            _arg("--validate-runs", type=COUNT, default=1,
+                 help="bit-exact validation runs recorded at pack "
+                      "time (0 skips; default: %(default)s)"),
+            _arg("--prebuild", action="store_true",
+                 help="also compile the native shared library next to "
+                      "the artifact (exec-mode native loads it without a "
+                      "toolchain on the serving host)"),
+        ), _COMPILE_OPTS),
+    "load": Command(
+        cmd_load, "load a .dna artifact (no compilation) and inspect it", (
+            _arg("artifact"),
+            _arg("--check", action="store_true",
+                 help="recompile from the artifact's provenance and "
+                      "assert byte-identical outputs + equal cycles"),
+        ), (("platform", {"help": "reject the artifact unless it was "
+                                  "packed for this registered platform "
+                                  "(V-ART-012)"}),)),
+    "serve": Command(
+        cmd_serve, "host models/artifacts behind the batching server", (
+            _arg("models", nargs="+",
+                 help="any mix of .dna artifact paths and zoo names "
+                      "(zoo names are compiled with --config first)"),
+            _arg("--capacity", type=POSITIVE_INT, default=8,
+                 help="LRU registry bound (default: %(default)s)"),
+            _arg("--max-batch-size", type=POSITIVE_INT, default=8,
+                 help="dynamic-batch upper bound (default: %(default)s)"),
+            _arg("--max-wait-ms", type=float, default=2.0,
+                 help="batch linger after the first queued request "
+                      "(default: %(default)s)"),
+            _arg("--requests", type=COUNT, default=0,
+                 help="load-generation mode: submit N requests and "
+                      "exit (0 = interactive stdin loop)"),
+            _arg("--clients", type=POSITIVE_INT, default=4,
+                 help="concurrent client threads in load mode "
+                      "(default: %(default)s)"),
+            _arg("--verify", action="store_true",
+                 help="byte-compare every load-mode response against "
+                      "the reference interpreter"),
+            _arg("--fleet", action="store_true",
+                 help="serve through the supervised multi-process "
+                      "fleet instead of the in-process server"),
+            _arg("--workers", type=POSITIVE_INT, default=2,
+                 help="fleet worker processes per deployment "
+                      "(default: %(default)s)"),
+            _arg("--deadline-ms", type=float, default=30000.0,
+                 help="fleet per-request deadline in ms, 0 = none "
+                      "(default: %(default)s)"),
+            _arg("--chaos", action="store_true",
+                 help="fleet mode: inject the canned seeded fault mix "
+                      "(crashes, hangs, OOM, queue-full)"),
+            _arg("--chaos-seed", type=COUNT, default=0,
+                 help="seed for --chaos fault injection "
+                      "(default: %(default)s)"),
+            _arg("--metrics",
+                 help="expose the merged metrics snapshot as Prometheus "
+                      "text: all digits = HTTP port to serve /metrics "
+                      "on, anything else = file to write one dump to "
+                      "after serving"),
+        ), _COMPILE_OPTS + ("seed", ("exec_mode", "fast"))),
+    "trace": Command(
+        cmd_trace,
+        "record a traced compile + inference as Perfetto-loadable JSON "
+        "and print the per-layer report (see docs/OBSERVABILITY.md)", (
+            _arg("model"),
+            _arg("-o", "--out", default="trace.json",
+                 help="trace-event JSON output path "
+                      "(default: %(default)s)"),
+            _arg("--requests", type=POSITIVE_INT, default=1,
+                 help="inferences to trace (default: %(default)s)"),
+            _arg("--fleet", action="store_true",
+                 help="route the requests through the multi-process "
+                      "fleet so the trace shows request spans crossing "
+                      "the worker-pipe boundary"),
+            _arg("--workers", type=POSITIVE_INT, default=1,
+                 help="fleet workers with --fleet (default: %(default)s)"),
+        ), ("config", "mapping", "depthfirst", "seed",
+            ("exec_mode", "fast"))),
+    "stats": Command(
+        cmd_stats,
+        "merged observability snapshot: counters, gauges, histograms, "
+        "and subsystem stats in one schema", (
+            _arg("--json", action="store_true",
+                 help="emit the machine-readable repro-stats/1 JSON"),
+            _arg("--prom", action="store_true",
+                 help="emit Prometheus text exposition instead"),
+        )),
+    "table1": Command(cmd_table1, "regenerate the paper's table1",
+                      options=("jobs", "exec_mode", "mapping")),
+    "table2": Command(cmd_table2, "regenerate the paper's table2"),
+    "fig4": Command(cmd_fig4, "regenerate the paper's fig4", (
+        _arg("--verify", action="store_true",
+             help="execute every swept tiling functionally in "
+                  "--exec-mode (default: tiled, the schedule-exercising "
+                  "mode) and byte-compare against the golden kernels"),
+    ), ("jobs", ("exec_mode", None))),
+    "fig5": Command(cmd_fig5, "regenerate the paper's fig5"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_exec_mode_arg(p, default="tiled"):
-        p.add_argument("--exec-mode", choices=list(EXEC_MODES),
-                       default=default,
-                       help="accelerator simulation path: 'tiled' executes "
-                            "every DORY tile (verification mode), 'fast' "
-                            "computes full layers with identical outputs "
-                            "and cycle counts, 'native' executes the "
-                            "generated C via a cached shared library "
-                            "(default: %(default)s)")
-
-    def add_mapping_arg(p, default=None):
-        from .mapping import STRATEGIES
-        p.add_argument("--mapping", choices=list(STRATEGIES), default=default,
-                       help="target-selection strategy: 'rules' (weight-"
-                            "dtype policy), 'greedy' (cheapest candidate "
-                            "per layer) or 'dp' (global cost-driven "
-                            "search)")
-
-    def add_depthfirst_arg(p, default=None):
-        p.add_argument("--depthfirst", choices=["auto", "on", "off"],
-                       default=default,
-                       help="fused depth-first (patch-based) conv-chain "
-                            "schedules: 'auto' engages only when the "
-                            "activation arena exceeds the L2 budget, "
-                            "'on' fuses every eligible chain "
-                            "(see docs/DEPTHFIRST.md)")
-
-    def add_platform_arg(p, default=None):
-        p.add_argument("--platform", default=default,
-                       help="registered platform to compile for "
-                            "('repro platforms' lists them; plugins "
-                            "register via REPRO_PLATFORMS or "
-                            "repro.soc.register_platform). Off the "
-                            "default 'diana', the platform's spec picks "
-                            "the zoo precision and --config only "
-                            "supplies the compiler knobs")
-
-    sub.add_parser("models", help="list the model zoo").set_defaults(
-        fn=cmd_models)
-    sub.add_parser(
-        "platforms",
-        help="list registered platforms (built-ins + plugins)",
-    ).set_defaults(fn=cmd_platforms)
-
-    p = sub.add_parser("compile", help="compile a model for a platform")
-    p.add_argument("model")
-    p.add_argument("--config", choices=list(CONFIGS), default="mixed")
-    p.add_argument("--out-dir", help="write generated C sources here")
-    p.add_argument("--dot", help="write a Graphviz rendering here")
-    add_mapping_arg(p)
-    add_depthfirst_arg(p)
-    add_platform_arg(p)
-    p.set_defaults(fn=cmd_compile)
-
-    p = sub.add_parser(
-        "df", help="depth-first (patch-based) schedule report")
-    p.add_argument("models", nargs="*",
-                   help="zoo models (default: the whole zoo)")
-    p.add_argument("--config", choices=list(CONFIGS), default="digital")
-    p.add_argument("--depthfirst", choices=["auto", "on"], default="on",
-                   help="planning mode to report (default: %(default)s)")
-    p.add_argument("--l1-kb", type=int, default=None,
-                   help="Eq. 2 tiling budget override in kB")
-    p.add_argument("--l2-kb", type=int, default=None,
-                   help="shrink the platform L2 to this many kB "
-                        "(exercises the memory-constrained scenario)")
-    p.set_defaults(fn=cmd_df)
-
-    p = sub.add_parser(
-        "map", help="print the mapping decision table / Pareto sweep")
-    p.add_argument("model", nargs="?",
-                   help="zoo model or graph JSON (omit with --pareto)")
-    p.add_argument("--config", choices=list(CONFIGS), default="mixed")
-    add_mapping_arg(p, default="dp")
-    p.add_argument("--objective", choices=["latency", "energy", "weighted"],
-                   default="latency",
-                   help="what cost-driven strategies minimize")
-    p.add_argument("--weight", type=float, default=0.5,
-                   help="latency/energy trade-off of --objective weighted "
-                        "(0 = latency, 1 = energy)")
-    p.add_argument("--pareto", action="store_true",
-                   help="sweep the weighted objective across the zoo and "
-                        "write the MAPPING_DSE.json artifact")
-    p.add_argument("--models", nargs="+", choices=sorted(MLPERF_TINY),
-                   help="restrict --pareto to these models")
-    p.add_argument("--out", default="MAPPING_DSE.json",
-                   help="artifact path for --pareto (default: %(default)s)")
-    add_depthfirst_arg(p)
-    add_platform_arg(p)
-    p.set_defaults(fn=cmd_map)
-
-    p = sub.add_parser(
-        "dse", help="platform x model x budget x objective DSE grid")
-    p.add_argument("--platforms", nargs="+", metavar="NAME",
-                   help="registered platforms to sweep (default: diana, "
-                        "diana-noanalog, diana-nodig; see `repro "
-                        "platforms`)")
-    p.add_argument("--models", nargs="+", choices=sorted(MLPERF_TINY),
-                   help="zoo models to sweep (default: all)")
-    p.add_argument("--budgets-kb", nargs="+", type=int, metavar="KB",
-                   help="L1 tiling budgets in kB (default: 64 256)")
-    p.add_argument("--objectives", nargs="+",
-                   choices=["latency", "energy"],
-                   help="mapping objectives to sweep (default: both)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="price grid cells on this many threads")
-    p.add_argument("--out", default="DSE_GRID.json",
-                   help="grid artifact path (default: %(default)s)")
-    p.add_argument("--check", action="store_true",
-                   help="re-price the grid and fail if --out drifted "
-                        "(tier-1 runs the same gate on the default "
-                        "grid)")
-    add_mapping_arg(p, default="dp")
-    p.set_defaults(fn=cmd_dse)
-
-    p = sub.add_parser(
-        "sweep", help="sweep one platform parameter (recompile + simulate)")
-    p.add_argument("param", help="a DianaParams field, e.g. l1_bytes")
-    p.add_argument("values", nargs="+", type=_number,
-                   help="parameter values to sweep")
-    p.add_argument("--model", default="resnet")
-    p.add_argument("--config", choices=list(CONFIGS), default="digital")
-    p.add_argument("--jobs", type=int, default=1)
-    add_mapping_arg(p)
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("run", help="compile + simulate one inference")
-    p.add_argument("model")
-    p.add_argument("--config", choices=list(CONFIGS), default="mixed")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch", type=int, default=1,
-                   help="simulate a batch of N inferences (N > 1 uses the "
-                        "batched runtime; verified per sample)")
-    p.add_argument("--timeline", action="store_true",
-                   help="print the Fig. 2-style execution timeline")
-    p.add_argument("--layers", action="store_true",
-                   help="print the per-layer cycle/energy report")
-    add_exec_mode_arg(p)
-    add_mapping_arg(p)
-    add_depthfirst_arg(p)
-    add_platform_arg(p)
-    p.set_defaults(fn=cmd_run)
-
-    p = sub.add_parser(
-        "check",
-        help="statically verify a compile or a .dna artifact "
-             "(see docs/CHECKS.md)")
-    p.add_argument("target", nargs="?",
-                   help="zoo model / graph JSON (compiled, then checked) "
-                        "or a .dna artifact path (checked without "
-                        "executing); omit with --grid")
-    p.add_argument("--config", choices=list(CONFIGS), default="mixed",
-                   help="compile configuration for model targets")
-    p.add_argument("--grid", action="store_true",
-                   help="sweep every zoo model x Table I config, checking "
-                        "both the fresh compile and a packed artifact")
-    p.add_argument("--models", nargs="+", choices=sorted(MLPERF_TINY),
-                   help="restrict --grid to these models")
-    p.add_argument("--no-artifacts", action="store_true",
-                   help="skip the pack + artifact-check half of --grid")
-    p.add_argument("--json", action="store_true",
-                   help="emit the machine-readable repro-check/1 document")
-    add_mapping_arg(p)
-    add_depthfirst_arg(p)
-    add_platform_arg(p)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser(
-        "pack", help="compile a model into a .dna serving artifact")
-    p.add_argument("model")
-    p.add_argument("--config", choices=list(CONFIGS), default="mixed")
-    p.add_argument("--out", help="artifact path "
-                                 "(default: <model>-<config>.dna)")
-    p.add_argument("--validate-runs", type=int, default=1,
-                   help="bit-exact validation runs recorded at pack "
-                        "time (0 skips; default: %(default)s)")
-    p.add_argument("--prebuild", action="store_true",
-                   help="also compile the native shared library next "
-                        "to the artifact (exec-mode native loads it "
-                        "without a toolchain on the serving host)")
-    add_mapping_arg(p)
-    add_depthfirst_arg(p)
-    add_platform_arg(p)
-    p.set_defaults(fn=cmd_pack)
-
-    p = sub.add_parser(
-        "load", help="load a .dna artifact (no compilation) and inspect it")
-    p.add_argument("artifact")
-    p.add_argument("--check", action="store_true",
-                   help="recompile from the artifact's provenance and "
-                        "assert byte-identical outputs + equal cycles")
-    p.add_argument("--platform", default=None,
-                   help="reject the artifact unless it was packed for "
-                        "this registered platform (V-ART-012)")
-    p.set_defaults(fn=cmd_load)
-
-    p = sub.add_parser(
-        "serve", help="host models/artifacts behind the batching server")
-    p.add_argument("models", nargs="+",
-                   help="any mix of .dna artifact paths and zoo names "
-                        "(zoo names are compiled with --config first)")
-    p.add_argument("--config", choices=list(CONFIGS), default="mixed",
-                   help="compile configuration for zoo-name specs")
-    p.add_argument("--capacity", type=int, default=8,
-                   help="LRU registry bound (default: %(default)s)")
-    p.add_argument("--max-batch-size", type=int, default=8,
-                   help="dynamic-batch upper bound (default: %(default)s)")
-    p.add_argument("--max-wait-ms", type=float, default=2.0,
-                   help="batch linger after the first queued request "
-                        "(default: %(default)s)")
-    p.add_argument("--requests", type=int, default=0,
-                   help="load-generation mode: submit N requests and "
-                        "exit (0 = interactive stdin loop)")
-    p.add_argument("--clients", type=int, default=4,
-                   help="concurrent client threads in load mode "
-                        "(default: %(default)s)")
-    p.add_argument("--verify", action="store_true",
-                   help="byte-compare every load-mode response against "
-                        "the reference interpreter")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fleet", action="store_true",
-                   help="serve through the supervised multi-process "
-                        "fleet instead of the in-process server")
-    p.add_argument("--workers", type=int, default=2,
-                   help="fleet worker processes per deployment "
-                        "(default: %(default)s)")
-    p.add_argument("--deadline-ms", type=float, default=30000.0,
-                   help="fleet per-request deadline in ms, 0 = none "
-                        "(default: %(default)s)")
-    p.add_argument("--chaos", action="store_true",
-                   help="fleet mode: inject the canned seeded fault mix "
-                        "(crashes, hangs, OOM, queue-full)")
-    p.add_argument("--chaos-seed", type=int, default=0,
-                   help="seed for --chaos fault injection "
-                        "(default: %(default)s)")
-    p.add_argument("--metrics",
-                   help="expose the merged metrics snapshot as "
-                        "Prometheus text: all digits = HTTP port to "
-                        "serve /metrics on, anything else = file to "
-                        "write one dump to after serving")
-    add_mapping_arg(p)
-    add_depthfirst_arg(p)
-    add_platform_arg(p)
-    add_exec_mode_arg(p, default="fast")
-    p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser(
-        "trace",
-        help="record a traced compile + inference as Perfetto-loadable "
-             "JSON (see docs/OBSERVABILITY.md)")
-    p.add_argument("model")
-    p.add_argument("--config", choices=list(CONFIGS), default="mixed")
-    p.add_argument("-o", "--out", default="trace.json",
-                   help="trace-event JSON output path "
-                        "(default: %(default)s)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--requests", type=int, default=1,
-                   help="inferences to trace (default: %(default)s)")
-    p.add_argument("--fleet", action="store_true",
-                   help="route the requests through the multi-process "
-                        "fleet so the trace shows request spans crossing "
-                        "the worker-pipe boundary")
-    p.add_argument("--workers", type=int, default=1,
-                   help="fleet workers with --fleet (default: %(default)s)")
-    add_exec_mode_arg(p, default="fast")
-    add_mapping_arg(p)
-    add_depthfirst_arg(p)
-    p.set_defaults(fn=cmd_trace)
-
-    p = sub.add_parser(
-        "stats",
-        help="merged observability snapshot: counters, gauges, "
-             "histograms, and subsystem stats in one schema")
-    p.add_argument("--json", action="store_true",
-                   help="emit the machine-readable repro-stats/1 JSON")
-    p.add_argument("--prom", action="store_true",
-                   help="emit Prometheus text exposition instead")
-    p.set_defaults(fn=cmd_stats)
-
-    for name, fn in (("table1", cmd_table1), ("table2", cmd_table2),
-                     ("fig4", cmd_fig4), ("fig5", cmd_fig5)):
-        p = sub.add_parser(name, help=f"regenerate the paper's {name}")
-        if name in ("table1", "fig4"):
-            p.add_argument("--jobs", type=int, default=1,
-                           help="evaluate independent cells/points with "
-                                "this many concurrent workers")
-        if name == "table1":
-            add_exec_mode_arg(p)
-            add_mapping_arg(p)
-        if name == "fig4":
-            add_exec_mode_arg(p, default=None)
-            p.add_argument("--verify", action="store_true",
-                           help="execute every swept tiling functionally "
-                                "in --exec-mode (default: tiled, the "
-                                "schedule-exercising mode) and byte-compare "
-                                "against the golden kernels")
-        p.set_defaults(fn=fn)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flags, kwargs in command.args:
+            p.add_argument(*flags, **kwargs)
+        for entry in command.options:
+            key, over = entry if isinstance(entry, tuple) else (entry, {})
+            flags, kwargs = OPTIONS[key]
+            if not isinstance(over, dict):
+                over = {"default": over}
+            p.add_argument(*flags, **{**kwargs, **over})
+        p.set_defaults(fn=command.fn)
     return parser
 
 
@@ -1268,6 +1154,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except OutOfMemoryError as exc:
+        print(f"OUT OF MEMORY: {exc}")
+        return 2
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,7 +2,7 @@
 
 from . import (
     depthfirst, dse, fig4, fig5, layer_report, mapping_dse, paper, sota,
-    sweep, timeline,
+    sweep,
 )
 from .depthfirst import (
     DepthFirstReport, depthfirst_report, format_depthfirst_reports,
@@ -10,17 +10,17 @@ from .depthfirst import (
 )
 from .harness import (
     CONFIGS, DeploymentResult, deploy, deploy_artifact,
-    format_table1, run_table1,
+    format_table1, resolve_config, run_table1,
     summarize_claims,
 )
 from .tables import format_table
 
 __all__ = [
     "depthfirst", "dse", "fig4", "fig5", "layer_report", "mapping_dse",
-    "paper", "sota", "sweep", "timeline",
+    "paper", "sota", "sweep",
     "DepthFirstReport", "depthfirst_report", "format_depthfirst_reports",
     "run_depthfirst_reports",
     "CONFIGS", "DeploymentResult", "deploy", "deploy_artifact",
-    "format_table1", "run_table1",
+    "format_table1", "resolve_config", "run_table1",
     "summarize_claims", "format_table",
 ]

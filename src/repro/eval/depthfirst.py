@@ -23,8 +23,8 @@ from ..core.program import CompiledModel, DepthFirstChain
 from ..errors import OutOfMemoryError
 from ..frontend.modelzoo import MLPERF_TINY
 from ..runtime import Executor, random_inputs, run_reference
-from ..soc import DEFAULT_PARAMS, DianaParams, get_platform
-from .harness import CONFIGS
+from ..soc import DEFAULT_PARAMS, DianaParams
+from .harness import resolve_config
 
 
 @dataclass
@@ -59,12 +59,11 @@ def depthfirst_report(model: str, config: str = "digital",
                       l1_budget: Optional[int] = None,
                       seed: int = 0) -> DepthFirstReport:
     """Compile + execute one model with and without depth-first."""
-    precision, soc_kwargs, cfg = CONFIGS[config]
+    precision, soc, cfg = resolve_config(config, params=params)
     if l1_budget is not None:
         cfg = cfg.with_overrides(l1_budget=l1_budget)
     cfg = cfg.with_overrides(check_l2=False)
     graph = MLPERF_TINY[model](precision=precision, seed=seed)
-    soc = get_platform("diana", params=params, **soc_kwargs)
 
     base = compile_model(graph, soc, cfg.with_overrides(depthfirst="off"))
     fused = compile_model(graph, soc, cfg.with_overrides(depthfirst=mode))

@@ -25,7 +25,7 @@ from ..core.program import CompiledModel
 from ..errors import OutOfMemoryError
 from ..frontend.modelzoo import MLPERF_TINY
 from ..runtime import ExecutionResult, Executor, random_inputs, run_reference
-from ..soc import DianaParams, get_platform, latency_ms
+from ..soc import DianaParams, get_platform, get_platform_spec, latency_ms
 from .grid import fan_out
 from .tables import format_table, fmt_ms
 from . import paper
@@ -56,13 +56,38 @@ class DeploymentResult:
     execution: Optional[ExecutionResult] = None
 
 
+def resolve_config(label: str, *, platform: Optional[str] = None,
+                   mapping: Optional[str] = None,
+                   depthfirst: Optional[str] = None,
+                   params: Optional[DianaParams] = None) -> tuple:
+    """``(precision, soc, cfg)`` of one configuration label.
+
+    ``mapping`` / ``depthfirst`` override the label's
+    ``CompilerConfig.mapping_strategy`` / ``depthfirst``; ``params``
+    overrides the platform's calibration constants. Off the default
+    ``"diana"``, ``platform``'s registered spec decides the accelerator
+    set and the zoo precision, the label only supplies the compiler
+    knobs, and the platform identity flows into the config fingerprint.
+    """
+    precision, soc_kwargs, cfg = CONFIGS[label]
+    if mapping:
+        cfg = cfg.with_overrides(mapping_strategy=mapping)
+    if depthfirst:
+        cfg = cfg.with_overrides(depthfirst=depthfirst)
+    if platform and platform != "diana":
+        return (get_platform_spec(platform).model_precision,
+                get_platform(platform, params=params),
+                cfg.with_overrides(platform=platform))
+    return precision, get_platform("diana", params=params, **soc_kwargs), cfg
+
+
 def _finish_deployment(result: DeploymentResult, compiled, soc,
                        seed: int, exec_mode: str,
-                       validate: bool) -> DeploymentResult:
+                       verify: bool) -> DeploymentResult:
     """Shared execute-and-report tail of the deploy entry points."""
     feeds = random_inputs(compiled.graph, seed=seed + 1)
     execution = Executor(soc, exec_mode=exec_mode).run(compiled, feeds)
-    if validate:
+    if verify:
         reference = run_reference(compiled.graph, feeds)
         result.verified = bool(np.array_equal(
             np.asarray(reference), np.asarray(execution.output)))
@@ -81,8 +106,7 @@ def deploy(model: str, config: str,
            seed: int = 0,
            exec_mode: str = "tiled",
            mapping: Optional[str] = None,
-           depthfirst: Optional[str] = None,
-           validate: Optional[bool] = None) -> DeploymentResult:
+           depthfirst: Optional[str] = None) -> DeploymentResult:
     """Compile + simulate one MLPerf Tiny model in one configuration.
 
     ``exec_mode`` selects the simulator's functional path for
@@ -98,26 +122,17 @@ def deploy(model: str, config: str,
     likewise overrides ``CompilerConfig.depthfirst``
     (``"auto"``/``"on"``/``"off"``).
 
-    ``validate`` controls the golden-reference re-check after
-    execution. ``None`` (default) follows ``verify`` — the historical
-    behavior, where every deploy re-interprets the whole graph. A
-    caller that already validated this deployment (e.g. the serving
-    path, which checks artifacts once at pack time) passes
-    ``validate=False`` to skip the reference interpreter on the hot
-    path; ``result.verified`` is then left as ``None`` rather than
-    recomputed.
+    ``verify`` re-checks the output against the golden reference
+    interpreter. A caller that already validated this deployment (e.g.
+    the serving path, which checks artifacts once at pack time) passes
+    ``verify=False`` to skip it; ``result.verified`` is then ``None``.
     """
     if model not in MLPERF_TINY:
         raise KeyError(f"unknown model {model!r}; have {sorted(MLPERF_TINY)}")
-    if validate is None:
-        validate = verify
-    precision, soc_kwargs, cfg = CONFIGS[config]
-    if mapping is not None:
-        cfg = cfg.with_overrides(mapping_strategy=mapping)
-    if depthfirst is not None:
-        cfg = cfg.with_overrides(depthfirst=depthfirst)
+    precision, soc, cfg = resolve_config(config, mapping=mapping,
+                                         depthfirst=depthfirst,
+                                         params=params)
     graph = MLPERF_TINY[model](precision=precision, seed=seed)
-    soc = get_platform("diana", params=params, **soc_kwargs)
 
     result = DeploymentResult(model=model, config=config,
                               mapping=cfg.mapping_strategy)
@@ -131,34 +146,31 @@ def deploy(model: str, config: str,
         result.compiled = compiled
         return result
 
-    return _finish_deployment(result, compiled, soc, seed, exec_mode,
-                              validate)
+    return _finish_deployment(result, compiled, soc, seed, exec_mode, verify)
 
 
 def deploy_artifact(artifact,
                     seed: int = 0,
                     exec_mode: str = "fast",
-                    validate: Optional[bool] = None) -> DeploymentResult:
+                    verify: bool = False) -> DeploymentResult:
     """Simulate a packed ``.dna`` artifact — no compilation at all.
 
     ``artifact`` is a path or a
     :class:`~repro.serve.artifact.LoadedArtifact`. By default the
     pack-time validation record is trusted: ``result.verified`` is
     carried over from the artifact and the reference interpreter is
-    *not* re-run (the serving hot path). Pass ``validate=True`` to
-    force a fresh bit-exact check anyway.
+    *not* re-run (the serving hot path). Pass ``verify=True`` to force
+    a fresh bit-exact check anyway.
     """
     from ..serve.artifact import LoadedArtifact, load_artifact
     if not isinstance(artifact, LoadedArtifact):
         artifact = load_artifact(artifact)
-    if validate is None:
-        validate = False
     result = DeploymentResult(
         model=artifact.model.name, config=artifact.config.name,
         mapping=artifact.config.mapping_strategy)
     result = _finish_deployment(result, artifact.model, artifact.soc,
-                                seed, exec_mode, validate)
-    if not validate and artifact.validation is not None:
+                                seed, exec_mode, verify)
+    if not verify and artifact.validation is not None:
         result.verified = bool(artifact.validation.get("passed"))
     return result
 

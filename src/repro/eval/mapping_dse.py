@@ -21,9 +21,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.cache import get_default_cache
 from ..frontend.modelzoo import MLPERF_TINY
 from ..mapping import analyze_mapping, make_objective, prepare_graph
-from ..soc import get_platform, latency_ms
+from ..soc import latency_ms
 from .grid import mark_pareto
-from .harness import CONFIGS
+from .harness import resolve_config
 from .tables import format_table
 
 #: default latency/energy weights of the sweep (0 = latency, 1 = energy).
@@ -57,8 +57,7 @@ def sweep_model(model: str, config: str = "mixed",
     """
     if model not in MLPERF_TINY:
         raise KeyError(f"unknown model {model!r}; have {sorted(MLPERF_TINY)}")
-    precision, soc_kwargs, cfg = CONFIGS[config]
-    soc = get_platform("diana", **soc_kwargs)
+    precision, soc, cfg = resolve_config(config)
     pgraph = prepare_graph(MLPERF_TINY[model](precision=precision))
     if cache is None:
         cache = get_default_cache()

@@ -1,4 +1,4 @@
-"""Observability: tracing, metrics, exporters, model-fidelity reports.
+"""Observability: tracing, metrics, exporters.
 
 One small layer federating what PRs 1-8 left fragmented:
 
@@ -10,16 +10,16 @@ One small layer federating what PRs 1-8 left fragmented:
   with the tiling-cache and native-build stats behind the
   ``repro-stats/1`` snapshot schema;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto) and
-  Prometheus text exposition;
-* :mod:`repro.obs.fidelity` — measured-vs-modeled per-step report,
-  the first empirical check on the paper's analytic cost model.
+  Prometheus text exposition.
+
+Traced ``exec.step`` spans feed the measured columns of the per-layer
+report (:mod:`repro.eval.layer_report`).
 
 CLI surface: ``repro trace``, ``repro stats``, ``repro serve
 --metrics``. See ``docs/OBSERVABILITY.md``.
 """
 
 from .export import to_chrome_trace, to_prometheus, write_chrome_trace
-from .fidelity import fidelity_from_spans, format_fidelity, profile_model
 from .metrics import (
     Counter, Gauge, Histogram, MetricsRegistry, get_registry,
     merged_snapshot, set_registry,
@@ -36,5 +36,4 @@ __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "get_registry", "set_registry", "merged_snapshot",
     "to_chrome_trace", "write_chrome_trace", "to_prometheus",
-    "fidelity_from_spans", "format_fidelity", "profile_model",
 ]

@@ -81,13 +81,3 @@ class PerfCounters:
             for cat, cyc in r.cycles.items():
                 out[cat] = out.get(cat, 0.0) + cyc
         return out
-
-    def report(self) -> str:
-        lines = [f"{'kernel':<40} {'target':<12} {'cycles':>12} {'MAC/cyc':>8}"]
-        for r in self.records:
-            lines.append(
-                f"{r.name:<40} {r.target:<12} {r.total_cycles:>12.0f} "
-                f"{r.throughput_macs_per_cycle:>8.2f}"
-            )
-        lines.append(f"{'TOTAL':<40} {'':<12} {self.total_cycles:>12.0f}")
-        return "\n".join(lines)

@@ -90,16 +90,14 @@ def verify_grid(models: Optional[List[str]] = None,
     recorded as an INFO-level ``V-RUN-001`` skip, not a failure.
     """
     from ..core.compiler import compile_model
-    from ..eval.harness import CONFIGS
+    from ..eval.harness import CONFIGS, resolve_config
     from ..frontend.modelzoo import MLPERF_TINY
     from ..serve.artifact import save_artifact
-    from ..soc import get_platform
 
     results: List[CheckResult] = []
     for model in (models or sorted(MLPERF_TINY)):
         for config_name in (configs or list(CONFIGS)):
-            precision, soc_kwargs, config = CONFIGS[config_name]
-            soc = get_platform("diana", **soc_kwargs)
+            precision, soc, config = resolve_config(config_name)
             graph = MLPERF_TINY[model](precision=precision)
             label = f"{model}/{config_name}"
             try:

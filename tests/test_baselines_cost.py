@@ -114,9 +114,3 @@ class TestPerfCounters:
         rec = KernelRecord("k", "soc.digital", macs=1000)
         rec.add("accel_compute", 500)
         assert rec.throughput_macs_per_cycle == 2.0
-
-    def test_report_format(self):
-        perf = PerfCounters()
-        perf.start_kernel("layer0", "soc.digital", macs=5).add("accel_compute", 9)
-        text = perf.report()
-        assert "layer0" in text and "TOTAL" in text

@@ -136,13 +136,3 @@ class TestMiscNumerics:
         src = emit_accel_layer("fc_driver", sol, DEFAULT_PARAMS)
         assert "kind=dense" in src
         assert "diana_dig_load_weights" in src
-
-    def test_timeline_glyph_breakdown(self):
-        from repro.eval.timeline import render_timeline
-        from repro.soc import PerfCounters
-        perf = PerfCounters()
-        rec = perf.start_kernel("k", "soc.digital", macs=10)
-        rec.add("accel_compute", 100)
-        rec.add("weight_dma", 20)
-        text = render_timeline(perf)
-        assert "#:100" in text and "W:20" in text

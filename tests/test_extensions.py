@@ -1,5 +1,5 @@
-"""Tests for the extension modules: energy, timeline, importer,
-random model generator, DOT export, CLI."""
+"""Tests for the extension modules: energy, importer, random model
+generator, DOT export, CLI."""
 
 import json
 import subprocess
@@ -10,7 +10,6 @@ import pytest
 
 from repro.core import HTVM, compile_model
 from repro.errors import UnsupportedError
-from repro.eval.timeline import build_timeline, render_timeline, utilization_by_target
 from repro.frontend import import_model
 from repro.frontend.modelzoo import RandomNetConfig, random_cnn
 from repro.ir import graph_to_dot, save_dot
@@ -73,31 +72,6 @@ class TestEnergy:
                              leakage_pj_per_cycle=0.0)
         assert (execution_energy_uj(result.perf, soc.params, cheap)
                 < execution_energy_uj(result.perf, soc.params, DEFAULT_ENERGY))
-
-
-class TestTimeline:
-    def test_entries_cover_all_kernels(self, executed):
-        _, model, result = executed
-        entries = build_timeline(result.perf)
-        assert len(entries) == len(model.steps)
-        # back-to-back, no gaps
-        for a, b in zip(entries, entries[1:]):
-            assert b.start == pytest.approx(a.end)
-
-    def test_render_contains_lanes(self, executed):
-        _, _, result = executed
-        text = render_timeline(result.perf)
-        assert "soc.digital" in text and "cpu" in text
-        assert "phase key" in text
-
-    def test_utilization_sums_to_one(self, executed):
-        _, _, result = executed
-        util = utilization_by_target(result.perf)
-        assert sum(util.values()) == pytest.approx(1.0)
-
-    def test_empty(self):
-        from repro.soc import PerfCounters
-        assert "empty" in render_timeline(PerfCounters())
 
 
 class TestImporter:
@@ -220,10 +194,10 @@ class TestCli:
 
     def test_run_resnet(self):
         proc = self.run_cli("run", "resnet", "--config", "digital",
-                            "--timeline")
+                            "--layers")
         assert proc.returncode == 0, proc.stderr
         assert "bit-exact vs reference: True" in proc.stdout
-        assert "timeline:" in proc.stdout
+        assert "per-layer report" in proc.stdout
         assert "uJ" in proc.stdout
 
     def test_compile_writes_sources(self, tmp_path):

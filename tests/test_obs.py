@@ -33,9 +33,8 @@ from repro.errors import ServingError, ServingOverloadError
 from repro.eval.harness import CONFIGS
 from repro.frontend.modelzoo import MLPERF_TINY
 from repro.obs import (
-    MetricsRegistry, Span, Tracer, collect, disable_tracing,
-    enable_tracing, fidelity_from_spans, format_fidelity, get_registry,
-    get_tracer, merged_snapshot, now_ns, profile_model, set_registry,
+    MetricsRegistry, Tracer, collect, disable_tracing, enable_tracing,
+    get_registry, get_tracer, merged_snapshot, now_ns, set_registry,
     to_prometheus, trace_span, write_chrome_trace,
 )
 from repro.obs.metrics import Histogram
@@ -288,7 +287,7 @@ class TestExporters:
 
 
 # ---------------------------------------------------------------------------
-# compile + executor instrumentation, fidelity
+# compile + executor instrumentation
 # ---------------------------------------------------------------------------
 
 class TestInstrumentation:
@@ -324,42 +323,6 @@ class TestInstrumentation:
             model, random_inputs(graph, seed=0))
         assert result.output is not None
         assert get_tracer() is None
-
-    def test_fidelity_report(self):
-        graph = build_small_cnn(hw=8, channels=8)
-        soc = get_platform("diana", enable_analog=False)
-        model = compile_model(graph, soc, CompilerConfig())
-        report = profile_model(model, soc, exec_mode="fast", runs=2)
-        assert report["schema"] == "repro-fidelity/1"
-        assert report["steps"] == len(model.steps)
-        for row in report["rows"]:
-            assert row["samples"] == 2
-            assert row["measured_ms"] >= 0.0
-            assert row["modeled_ms"] > 0.0
-        assert report["total_modeled_ms"] > 0
-        table = format_fidelity(report)
-        assert "TOTAL" in table and model.name in table
-        # profiling restored the disabled state
-        assert get_tracer() is None
-
-    def test_fidelity_from_spans_min_aggregation(self):
-        mk = dict(trace_id="t", parent_id=None, category="exec")
-        spans = [
-            Span(name="exec.step", span_id="a", t_start_ns=0,
-                 t_end_ns=2_000_000,
-                 attrs={"step": "s0", "target": "cpu",
-                        "exec_mode": "fast", "modeled_cycles": 26_0000.0},
-                 **mk),
-            Span(name="exec.step", span_id="b", t_start_ns=0,
-                 t_end_ns=1_000_000,
-                 attrs={"step": "s0", "target": "cpu",
-                        "exec_mode": "fast", "modeled_cycles": 26_0000.0},
-                 **mk),
-        ]
-        report = fidelity_from_spans(spans, model="m", exec_mode="fast")
-        (row,) = report["rows"]
-        assert row["measured_ms"] == 1.0  # min across samples
-        assert row["samples"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -638,12 +601,14 @@ class TestServingMetrics:
 
 
 class TestCLI:
-    def test_trace_and_stats_commands(self, tmp_path):
+    def test_trace_and_stats_commands(self, tmp_path, capsys):
         from repro.cli import main
 
         out = str(tmp_path / "t.json")
         assert main(["trace", "dscnn", "--exec-mode", "fast",
                      "-o", out]) == 0
+        printed = capsys.readouterr().out
+        assert "per-layer report" in printed and "host share" in printed
         doc = json.loads(open(out).read())
         names = {e["name"] for e in doc["traceEvents"]}
         assert "compile.model" in names and "exec.step" in names

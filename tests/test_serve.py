@@ -351,11 +351,11 @@ class TestRequantizeAccGuards:
 
 class TestHarnessIntegration:
     def test_deploy_validate_knob(self):
-        # validate=False skips the reference re-run: verified stays None
-        r = deploy("toyadmos", "digital", exec_mode="fast", validate=False)
+        # verify=False skips the reference re-run: verified stays None
+        r = deploy("toyadmos", "digital", exec_mode="fast", verify=False)
         assert r.verified is None
         assert r.latency_ms > 0
-        # default behavior unchanged: verify implies validation
+        # the default re-checks against the reference interpreter
         r2 = deploy("toyadmos", "digital", exec_mode="fast")
         assert r2.verified is True
         assert r2.latency_ms == r.latency_ms
@@ -366,8 +366,8 @@ class TestHarnessIntegration:
         assert r.latency_ms > 0
         fresh = deploy("resnet", "digital", exec_mode="fast")
         assert r.latency_ms == fresh.latency_ms
-        # validate=True forces an actual re-check
-        r2 = deploy_artifact(served_resnet, validate=True)
+        # verify=True forces an actual re-check
+        r2 = deploy_artifact(served_resnet, verify=True)
         assert r2.verified is True
 
     def test_deploy_artifact_from_path(self, tmp_path):
@@ -442,3 +442,21 @@ class TestServingCli:
                             stdin="toyadmos_dae 1\ntoyadmos_dae 2\n")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("output_sum=") == 2
+
+    def test_serve_interactive_survives_bad_line(self, tmp_path):
+        dna = str(tmp_path / "toy.dna")
+        proc = self.run_cli("pack", "toyadmos", "--config", "digital",
+                            "--out", dna)
+        assert proc.returncode == 0, proc.stderr
+        proc = self.run_cli("serve", dna,
+                            stdin="toyadmos_dae abc\ntoyadmos_dae 2\n")
+        assert proc.returncode == 0, proc.stderr
+        assert "error: invalid literal" in proc.stdout
+        assert proc.stdout.count("output_sum=") == 1
+
+    def test_serve_fleet_zoo_name(self):
+        proc = self.run_cli("serve", "toyadmos", "--config", "digital",
+                            "--fleet", "--workers", "1", "--requests", "4",
+                            "--clients", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert "deployment toyadmos:" in proc.stdout
