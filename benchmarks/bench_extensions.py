@@ -10,12 +10,11 @@ import pytest
 
 from repro.eval.harness import CONFIGS, deploy
 from repro.eval.tables import format_table
-from repro.extensions import (
-    analyze_depth_first, chain_from_graph, layer_by_layer_peak_bytes,
-)
-from repro.frontend.modelzoo import MLPERF_TINY, mobilenet_v1
-from repro.patterns import default_specs, partition
+from repro.extensions import analyze_depth_first, layer_by_layer_span_bytes
+from repro.frontend.modelzoo import MLPERF_TINY
 from repro.soc import energy_by_target_uj, execution_energy_uj, get_platform
+
+from helpers import mobilenet_head_chain
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +60,8 @@ def test_energy_analog_advantage(energy_table):
 
 
 def test_depth_first_memory_study(report):
-    graph = partition(mobilenet_v1(), default_specs())
-    chain = chain_from_graph(graph, max_len=3)
-    baseline = layer_by_layer_peak_bytes(chain)
+    chain = mobilenet_head_chain(3)
+    baseline = layer_by_layer_span_bytes(chain)
     rows = []
     for grid in ((1, 1), (2, 2), (4, 4), (8, 8)):
         plan = analyze_depth_first(chain, grid)

@@ -76,7 +76,7 @@ def _deployment(args, model: str):
     ``--config`` / ``--platform`` / ``--mapping`` / ``--depthfirst``."""
     precision, soc, cfg = resolve_config(
         args.config, platform=getattr(args, "platform", None),
-        mapping=args.mapping, depthfirst=args.depthfirst)
+        mapping=args.mapping, depthfirst=getattr(args, "depthfirst", None))
     return _load_model(model, precision), soc, cfg
 
 
@@ -976,8 +976,7 @@ COMMANDS = {
                       "write the MAPPING_DSE.json artifact"),
             _arg("--out", default="MAPPING_DSE.json",
                  help="artifact path for --pareto (default: %(default)s)"),
-        ), ("config", ("mapping", "dp"), "depthfirst", "platform",
-            "models")),
+        ), ("config", ("mapping", "dp"), "platform", "models")),
     "dse": Command(
         cmd_dse, "platform x model x budget x objective DSE grid", (
             _arg("--platforms", nargs="+", metavar="NAME",

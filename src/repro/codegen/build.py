@@ -19,8 +19,7 @@ re-checked after every ``dlopen``; a mismatched or unloadable library
 is deleted and rebuilt once, then given up on (``None`` → the caller
 falls back to the ``fast`` interpreter).
 
-Binding goes through :mod:`cffi` when importable, :mod:`ctypes`
-otherwise — both are stdlib-or-baked-in; no new dependencies.
+Binding goes through the stdlib :mod:`ctypes`; no new dependencies.
 """
 
 from __future__ import annotations
@@ -211,68 +210,8 @@ def build_native_library(model: CompiledModel,
 # bindings
 # ---------------------------------------------------------------------------
 
-_CDEF = """
-int32_t repro_native_abi(void);
-const char* repro_native_build_key(void);
-int32_t repro_native_num_steps(void);
-int32_t repro_native_step_supported(int32_t idx);
-int32_t repro_native_set_weights(int32_t idx, const void* w,
-                                 const void* bias);
-int32_t repro_native_run_step(int32_t idx, const void* x, const void* y,
-                              void* out, int32_t n);
-int32_t repro_native_has_full_run(void);
-int32_t repro_native_run(const void* const* inputs, void* output,
-                         int32_t n);
-"""
-
-try:  # pragma: no cover - exercised via whichever binding is present
-    import cffi  # type: ignore
-
-    _FFI = cffi.FFI()
-    _FFI.cdef(_CDEF)
-except Exception:  # pragma: no cover
-    cffi = None
-    _FFI = None
-
-
-class _CffiBinding:
-    """cffi-backed binding; all pointer arguments are integer addresses."""
-
-    def __init__(self, path: str):
-        assert _FFI is not None
-        try:
-            self._lib = _FFI.dlopen(path)
-            self.abi = int(self._lib.repro_native_abi())
-        except Exception as exc:
-            raise NativeLibraryError("dlopen failed: %s" % exc) from exc
-        self.build_key = _FFI.string(
-            self._lib.repro_native_build_key()).decode("ascii")
-        self.num_steps = int(self._lib.repro_native_num_steps())
-        self.has_full_run = bool(self._lib.repro_native_has_full_run())
-
-    def _p(self, addr: int):
-        return _FFI.cast("void *", addr)
-
-    def step_supported(self, idx: int) -> bool:
-        return bool(self._lib.repro_native_step_supported(idx))
-
-    def set_weights(self, idx: int, waddr: int, baddr: int) -> int:
-        return int(self._lib.repro_native_set_weights(
-            idx, self._p(waddr), self._p(baddr)))
-
-    def run_step(self, idx: int, xaddr: int, yaddr: int, oaddr: int,
-                 n: int) -> int:
-        return int(self._lib.repro_native_run_step(
-            idx, self._p(xaddr), self._p(yaddr), self._p(oaddr), n))
-
-    def run(self, in_addrs: Sequence[int], oaddr: int, n: int) -> int:
-        arr = _FFI.new("const void*[]",
-                       [self._p(a) for a in in_addrs])
-        return int(self._lib.repro_native_run(arr, self._p(oaddr), n))
-
-
 class _CtypesBinding:
-    """ctypes fallback with the same address-based surface."""
+    """ctypes binding; all pointer arguments are integer addresses."""
 
     def __init__(self, path: str):
         import ctypes
@@ -343,7 +282,6 @@ def _open_binding(path: str):
     as the handle is open. Falls back to the plain path where hard
     links are unavailable.
     """
-    cls = _CffiBinding if _FFI is not None else _CtypesBinding
     d = os.path.dirname(os.path.abspath(path)) or "."
     try:
         st = os.stat(path)
@@ -353,9 +291,9 @@ def _open_binding(path: str):
         if not os.path.exists(link):
             os.link(path, link)
     except OSError:
-        return cls(path)
+        return _CtypesBinding(path)
     try:
-        return cls(link)
+        return _CtypesBinding(link)
     finally:
         try:
             os.unlink(link)

@@ -6,15 +6,13 @@ MCUNetV2 [11] / DepFiN [12], and the analog-noise study hooks.
 """
 
 from .depthfirst import (
-    DepthFirstPlan, analyze_depth_first, chain_from_graph,
-    chain_runs_from_steps, chain_savings, conv_chains_from_graph,
-    layer_by_layer_peak_bytes, layer_by_layer_span_bytes, plan_chain_grid,
+    DepthFirstPlan, analyze_depth_first, chain_runs_from_steps,
+    chain_savings, layer_by_layer_span_bytes, plan_chain_grid,
     plan_depthfirst_steps,
 )
 
 __all__ = [
-    "DepthFirstPlan", "analyze_depth_first", "chain_from_graph",
-    "chain_runs_from_steps", "chain_savings", "conv_chains_from_graph",
-    "layer_by_layer_peak_bytes", "layer_by_layer_span_bytes",
-    "plan_chain_grid", "plan_depthfirst_steps",
+    "DepthFirstPlan", "analyze_depth_first", "chain_runs_from_steps",
+    "chain_savings", "layer_by_layer_span_bytes", "plan_chain_grid",
+    "plan_depthfirst_steps",
 ]

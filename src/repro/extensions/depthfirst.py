@@ -11,18 +11,20 @@ HTVM executes layer-by-layer; this module both quantifies what
 depth-first buys on the same workloads and plans *executable* schedules
 for the runtime (:func:`~repro.runtime.executor.execute_chain_depth_first`):
 
-* :func:`layer_by_layer_peak_bytes` — HTVM's L2 activation peak for a
-  chain (consecutive input+output residency),
+* :func:`layer_by_layer_span_bytes` — HTVM's L2 activation residency
+  for a chain run layer by layer,
 * :func:`analyze_depth_first` — peak memory and recompute overhead of
   patch-based execution with a py x px output patch grid,
-* :func:`chain_from_graph` / :func:`conv_chains_from_graph` — extract
-  fusable conv chains of a model,
+* :func:`chain_runs_from_steps` — the fusable runs of a compiled step
+  list,
 * :func:`plan_chain_grid` — size a chain's patch grid against an L2
   activation budget (minimal recompute subject to the budget),
 * :func:`plan_depthfirst_steps` — turn a compiled step list into
   :class:`~repro.core.program.DepthFirstChain` schedule records, the
   compilation product ``CompilerConfig.depthfirst`` threads through the
-  compiler, executor, artifact store and benchmarks.
+  compiler, executor, artifact store and benchmarks. It is the one
+  place chains are found, segmented and priced; ``repro df`` reports
+  what it adopted.
 
 The analysis is exact: patch halos are propagated backwards through
 strides/kernels layer by layer (with boundary clipping), and the
@@ -36,7 +38,6 @@ from typing import List, Optional, Tuple
 
 from ..dory.layer_spec import LayerSpec
 from ..errors import UnsupportedError
-from ..ir import Graph
 
 #: layer kinds a depth-first chain may contain (pixel-local MAC ops).
 CHAIN_KINDS = ("conv2d", "dwconv2d")
@@ -90,15 +91,6 @@ def _check_chain(chain: List[LayerSpec]):
             raise UnsupportedError(
                 f"chain mismatch: {a.name} {a.oy}x{a.ox} feeds "
                 f"{b.name} {b.iy}x{b.ix}")
-
-
-def layer_by_layer_peak_bytes(chain: List[LayerSpec]) -> int:
-    """Peak L2 activation residency of standard execution.
-
-    While layer i runs, its full input and output coexist.
-    """
-    _check_chain(chain)
-    return max(s.input_elements() + s.output_elements() for s in chain)
 
 
 def layer_by_layer_span_bytes(chain: List[LayerSpec],
@@ -246,71 +238,6 @@ def _links(prev: LayerSpec, spec: LayerSpec) -> bool:
     """True when ``prev`` can feed ``spec`` inside one fused chain."""
     return (prev.out_channels == spec.in_channels
             and (prev.oy, prev.ox) == (spec.iy, spec.ix))
-
-
-def chain_from_graph(graph: Graph, max_len: Optional[int] = None
-                     ) -> List[LayerSpec]:
-    """Extract the longest single-consumer conv chain of a model.
-
-    Operates on a partitioned graph (composites present); useful for
-    asking "what would depth-first buy on MobileNet's first stages?".
-    """
-    from ..mapping.rules import layer_spec_of
-
-    comps = [c for c in graph.composites()
-             if c.pattern_name == "htvm.qconv2d"]
-    users = graph.users()
-    chain: List[LayerSpec] = []
-    for i, comp in enumerate(comps):
-        spec = layer_spec_of(comp, i)
-        if spec is None or spec.kind not in CHAIN_KINDS:
-            break
-        if chain and not _links(chain[-1], spec):
-            break
-        chain.append(spec)
-        if len(users[comp.node_id]) != 1:
-            break
-        if max_len and len(chain) >= max_len:
-            break
-    if not chain:
-        raise UnsupportedError("graph has no leading conv chain")
-    return chain
-
-
-def conv_chains_from_graph(graph: Graph, min_len: int = 2
-                           ) -> List[List[LayerSpec]]:
-    """All maximal fusable conv chains of a partitioned graph.
-
-    A chain is a run of conv2d/dwconv2d composites where every interior
-    output has exactly one consumer (its successor), so patch-wise
-    evaluation can elide the full intermediate. Unlike
-    :func:`chain_from_graph` this scans the whole model, not just the
-    leading stage.
-    """
-    from ..mapping.rules import layer_spec_of
-
-    users = graph.users()
-    chains: List[List[LayerSpec]] = []
-    cur: List[LayerSpec] = []
-    prev_comp = None
-    for i, comp in enumerate(graph.composites()):
-        spec = (layer_spec_of(comp, i)
-                if comp.pattern_name == "htvm.qconv2d" else None)
-        eligible = spec is not None and spec.kind in CHAIN_KINDS
-        feeds = (prev_comp is not None
-                 and any(inp.node_id == prev_comp.node_id
-                         for inp in comp.inputs)
-                 and len(users.get(prev_comp.node_id, ())) == 1)
-        if eligible and cur and feeds and _links(cur[-1], spec):
-            cur.append(spec)
-        else:
-            if len(cur) >= min_len:
-                chains.append(cur)
-            cur = [spec] if eligible else []
-        prev_comp = comp if eligible else None
-    if len(cur) >= min_len:
-        chains.append(cur)
-    return chains
 
 
 def chain_savings(chain: List[LayerSpec], plan: DepthFirstPlan) -> int:

@@ -7,8 +7,8 @@ on top of them. See DESIGN.md "Layering".
 """
 
 from .candidates import (
-    CandidateCost, MappingSite, accel_candidate, chain_candidate,
-    cpu_candidate, enumerate_sites,
+    CandidateCost, MappingSite, accel_candidate, cpu_candidate,
+    enumerate_sites,
 )
 from .engine import (
     OBJECTIVES, STRATEGIES, MappingPlan, Objective, TransferEdge,
@@ -25,8 +25,8 @@ from .selector import (
 )
 
 __all__ = [
-    "CandidateCost", "MappingSite", "accel_candidate", "chain_candidate",
-    "cpu_candidate", "enumerate_sites",
+    "CandidateCost", "MappingSite", "accel_candidate", "cpu_candidate",
+    "enumerate_sites",
     "OBJECTIVES", "STRATEGIES", "MappingPlan", "Objective", "TransferEdge",
     "analyze_mapping", "build_edges", "evaluate_assignment", "format_plan",
     "make_objective", "plan_mapping", "prepare_graph", "transfer_penalty",

@@ -16,6 +16,9 @@ the same models the simulator charges at runtime:
 
 Because both paths reuse the runtime cost models verbatim, a mapping's
 modeled per-layer latency equals the executor's measured kernel cycles.
+Candidates are single layers: depth-first fused chains are planned
+after mapping, over the compiled steps
+(:func:`~repro.extensions.depthfirst.plan_depthfirst_steps`).
 """
 
 from __future__ import annotations
@@ -95,63 +98,6 @@ def accel_candidate(spec: LayerSpec, target: str, soc, config,
     return CandidateCost(
         target=target, latency_cycles=rec.total_cycles,
         energy_pj=kernel_energy_pj(rec, soc.params, energy))
-
-
-def chain_candidate(specs: List[LayerSpec], targets: List[str], soc, config,
-                    cache=None, budget_bytes: Optional[int] = None,
-                    input_held: bool = True,
-                    energy: EnergyParams = DEFAULT_ENERGY) -> CandidateCost:
-    """Price a fused depth-first chain as one more mapping alternative.
-
-    ``specs``/``targets`` are the chain layers and the accelerator each
-    would run on. The chain's patch grid is sized against
-    ``budget_bytes`` (defaults to the platform L2 — compilation later
-    subtracts the static image, which is unknown before codegen), and
-    each layer is charged through the same depth-first cost model the
-    runtime charges (:func:`~repro.runtime.cost.cost_layer_depthfirst`).
-    The priced latency equals the modeled chain cycles of executing
-    exactly this chain with this grid; the compiler's step-level
-    planner may still segment differently (it additionally fuses
-    residual ``add`` steps, which only exist after codegen).
-    Infeasible when no patch grid both shrinks the chain's residency
-    and respects the recompute gate within the budget.
-    """
-    from ..extensions.depthfirst import plan_chain_grid
-    from ..runtime.cost import cost_layer_depthfirst
-
-    if budget_bytes is None:
-        budget_bytes = soc.params.l2_bytes
-    plan = plan_chain_grid(specs, budget_bytes, mode="on",
-                           input_held=input_held)
-    if plan is None or plan.peak_bytes > budget_bytes:
-        return CandidateCost(
-            target="depthfirst", feasible=False,
-            reason="no patch grid fits the chain's L2 residency in "
-                   f"{budget_bytes} B within the recompute gate")
-    cycles = pj = 0.0
-    for spec, target, ratio in zip(specs, targets, plan.per_layer_recompute):
-        if spec.kind == "add":
-            # adds carry no tiling solution requirement beyond their
-            # own layer; price them like the accel candidate does
-            cand = accel_candidate(spec, target, soc, config, cache, energy)
-            cycles += cand.latency_cycles * ratio
-            pj += cand.energy_pj * ratio
-            continue
-        tiler = DoryTiler(
-            target, soc.params, heuristic_set_for(config.heuristics, target),
-            alpha=config.alpha, l1_budget=config.l1_budget)
-        try:
-            sol = (cache.solve(tiler, spec) if cache is not None
-                   else tiler.solve(spec))
-        except TilingError as exc:
-            return CandidateCost(target="depthfirst", feasible=False,
-                                 reason=f"{spec.name}: {exc}")
-        rec = cost_layer_depthfirst(spec, sol, soc.accelerator(target),
-                                    soc.params, ratio, plan.num_patches)
-        cycles += rec.total_cycles
-        pj += kernel_energy_pj(rec, soc.params, energy)
-    return CandidateCost(target="depthfirst", latency_cycles=cycles,
-                         energy_pj=pj)
 
 
 def enumerate_sites(graph: Graph, soc, config, cache=None,

@@ -30,6 +30,12 @@ Selected via ``CompilerConfig.mapping_strategy``:
 * ``"greedy"`` — per-layer cheapest feasible candidate, transfers
   ignored (a useful lower bound on how much coupling matters),
 * ``"dp"`` — the global search described above.
+
+The search prices layer-by-layer execution only. Whether a run of
+mapped layers then executes depth-first is decided once, by the
+compiler over its step list
+(:func:`~repro.extensions.depthfirst.plan_depthfirst_steps`), and
+``repro df`` reports those chains with their charged cycles.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from ..soc.energy import DEFAULT_ENERGY, EnergyParams
 from ..transforms import (
     Pass, PassManager, canonicalize, eliminate_dead_code, fold_constants,
 )
-from .candidates import MappingSite, chain_candidate, enumerate_sites
+from .candidates import MappingSite, enumerate_sites
 from .rules import DispatchDecision
 from .selector import assign_targets, retarget_composites, rules_target
 
@@ -159,9 +165,6 @@ class MappingPlan:
     baseline_cycles: float = 0.0          #: rules strategy, same objective
     baseline_energy_pj: float = 0.0
     baseline_cost: float = 0.0
-    #: priced depth-first fused-chain alternatives (one record per
-    #: fusable conv chain; populated when ``config.depthfirst != "off"``)
-    depthfirst: List[Dict] = field(default_factory=list)
 
     @property
     def target_counts(self) -> Dict[str, int]:
@@ -395,72 +398,6 @@ def _decisions_for(sites: List[MappingSite], assignment: List[str],
     return decisions
 
 
-def _depthfirst_alternatives(pgraph: Graph, sites: List[MappingSite],
-                             assignment: List[str], soc, config, cache,
-                             energy: EnergyParams) -> List[Dict]:
-    """Price fusable conv chains as additional mapping alternatives.
-
-    Chains are segmented with the same greedy longest-admissible split
-    the compiler's planner uses (:data:`MAX_CHAIN_LEN` cap) and the
-    same input-held profitability test, so the priced segments track
-    what compilation would adopt — up to residual-closing ``add``
-    steps, which only exist at the step level. Each record compares
-    the fused depth-first cost (same cost model the accounting pass charges)
-    against the sum of the segment layers' chosen unfused candidates,
-    for the `repro map` decision table.
-    """
-    from ..extensions.depthfirst import (
-        MAX_CHAIN_LEN, conv_chains_from_graph, plan_chain_grid,
-    )
-
-    users = pgraph.users()
-    comps = {c.node_id: c for c in pgraph.composites()}
-    by_name = {site.layer_name: i for i, site in enumerate(sites)}
-    budget = soc.params.l2_bytes
-    out: List[Dict] = []
-    for chain in conv_chains_from_graph(pgraph):
-        idxs = [by_name.get(s.name) for s in chain]
-        if any(i is None for i in idxs):
-            continue
-        i = 0
-        while i < len(chain) - 1:
-            comp = comps[sites[idxs[i]].node_id]
-            held = any(len(users.get(inp.node_id, ())) > 1
-                       for inp in comp.inputs)
-            segment = None
-            for length in range(min(len(chain) - i, MAX_CHAIN_LEN), 1, -1):
-                if plan_chain_grid(chain[i:i + length], budget, mode="on",
-                                   input_held=held) is not None:
-                    segment = length
-                    break
-            if segment is None:
-                i += 1
-                continue
-            specs = chain[i:i + segment]
-            seg_idxs = idxs[i:i + segment]
-            targets = [assignment[j] for j in seg_idxs]
-            if any(t == "cpu" for t in targets):
-                i += segment
-                continue  # a CPU layer breaks the accelerator chain
-            cand = chain_candidate(specs, targets, soc, config, cache,
-                                   budget_bytes=budget, input_held=held,
-                                   energy=energy)
-            unfused = sum(
-                sites[j].candidates[t].latency_cycles
-                for j, t in zip(seg_idxs, targets)
-                if t in sites[j].candidates)
-            out.append({
-                "layers": [s.name for s in specs],
-                "targets": targets,
-                "feasible": cand.feasible,
-                "reason": cand.reason,
-                "latency_cycles": cand.latency_cycles,
-                "unfused_cycles": unfused,
-            })
-            i += segment
-    return out
-
-
 def analyze_mapping(pgraph: Graph, soc, config, cache=None,
                     strategy: Optional[str] = None,
                     objective: Optional[Objective] = None,
@@ -520,9 +457,6 @@ def analyze_mapping(pgraph: Graph, soc, config, cache=None,
         sites, edges, assignment, soc, objective, energy)
     b_cycles, b_pj, b_cost, _ = evaluate_assignment(
         sites, edges, baseline, soc, objective, energy)
-    depthfirst = ([] if config.depthfirst == "off" else
-                  _depthfirst_alternatives(pgraph, sites, assignment, soc,
-                                           config, cache, energy))
     return MappingPlan(
         strategy=strategy, objective=objective, sites=sites, edges=edges,
         assignment=assignment,
@@ -531,7 +465,6 @@ def analyze_mapping(pgraph: Graph, soc, config, cache=None,
         transfer_cycles=transfer,
         baseline_assignment=baseline, baseline_cycles=b_cycles,
         baseline_energy_pj=b_pj, baseline_cost=b_cost,
-        depthfirst=depthfirst,
     )
 
 
@@ -578,18 +511,4 @@ def format_plan(plan: MappingPlan) -> str:
     if plan.baseline_cost > 0 and plan.total_cost < _INF:
         lines.append(f"cost vs rules : "
                      f"{plan.total_cost / plan.baseline_cost:.3f}x")
-    if plan.depthfirst:
-        lines.append("")
-        lines.append("depth-first fused-chain alternatives:")
-        for rec in plan.depthfirst:
-            span = f"{rec['layers'][0]}..{rec['layers'][-1]}"
-            if not rec["feasible"]:
-                lines.append(f"  {span:<36} infeasible ({rec['reason']})")
-                continue
-            ratio = (rec["latency_cycles"] / rec["unfused_cycles"]
-                     if rec["unfused_cycles"] else float("inf"))
-            lines.append(
-                f"  {span:<36} {rec['latency_cycles']:12.0f} cycles fused "
-                f"vs {rec['unfused_cycles']:12.0f} unfused "
-                f"({ratio:.2f}x)")
     return "\n".join(lines)

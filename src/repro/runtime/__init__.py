@@ -2,7 +2,6 @@
 
 from .cost import (
     accumulate_accel_cost, accumulate_depthfirst_cost, cost_layer,
-    cost_layer_depthfirst,
 )
 from .executor import (
     EXEC_MODES, BatchExecutionResult, ExecutionResult, Executor,
@@ -17,7 +16,7 @@ from .validate import ValidationReport, validate_deployment
 __all__ = [
     "EXEC_MODES", "BatchExecutionResult", "ExecutionResult", "Executor",
     "accumulate_accel_cost", "accumulate_depthfirst_cost",
-    "cost_layer", "cost_layer_depthfirst",
+    "cost_layer",
     "execute_chain_depth_first", "execute_layer_fast", "execute_layer_tiled",
     "CompiledPlan", "compile_plan",
     "random_inputs", "random_inputs_batched",

@@ -106,13 +106,3 @@ def accumulate_depthfirst_cost(rec: KernelRecord, accel, spec: LayerSpec,
         rec.add("act_dma", extra * rec.cycles.get("act_dma", 0.0))
     rec.add("tile_loop", num_patches * params.tile_loop_overhead)
 
-
-def cost_layer_depthfirst(spec: LayerSpec, sol: TilingSolution, accel,
-                          params: DianaParams, recompute_ratio: float,
-                          num_patches: int) -> KernelRecord:
-    """Stand-alone depth-first cost of one chain layer (mapping pricing)."""
-    perf = PerfCounters()
-    rec = perf.start_kernel(spec.name, accel.name, macs=spec.macs())
-    accumulate_depthfirst_cost(rec, accel, spec, sol, params,
-                               recompute_ratio, num_patches)
-    return rec

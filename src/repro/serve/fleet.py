@@ -75,6 +75,9 @@ __all__ = ["FleetConfig", "FleetFuture", "ServingFleet"]
 
 #: exit code a worker uses to report an out-of-memory death.
 OOM_EXIT_CODE = 42
+#: above ``FleetConfig.shed_watermark``, requests with a priority below
+#: this are shed.
+SHED_PRIORITY_FLOOR = 0
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +86,7 @@ OOM_EXIT_CODE = 42
 
 def _worker_main(conn, key: str, worker_index: int, gen: int,
                  artifact_path: str, exec_mode: str,
-                 plan: Optional[FaultPlan], verify: bool) -> None:
+                 plan: Optional[FaultPlan]) -> None:
     """Entry point of one fleet worker process.
 
     Loads the deployment once from ``artifact_path`` (the integrity
@@ -103,7 +106,7 @@ def _worker_main(conn, key: str, worker_index: int, gen: int,
     try:
         from ..runtime import Executor
         from .artifact import load_artifact
-        art = load_artifact(artifact_path, verify=verify)
+        art = load_artifact(artifact_path, verify=True)
         effective_mode = exec_mode
         if exec_mode == "native":
             # build-or-load the cached shared library next to the .dna
@@ -222,23 +225,17 @@ class FleetConfig:
 
     workers: int = 2                 #: worker processes per deployment
     exec_mode: str = "fast"          #: executor mode workers start in
-    verify_artifacts: bool = True    #: load_artifact(verify=...) in workers
-    start_method: str = "fork"       #: multiprocessing start method
     queue_limit: int = 64            #: hard admission bound (per deployment)
     shed_watermark: Optional[int] = None  #: default queue_limit // 2
-    shed_priority_floor: int = 0     #: above watermark, shed priority < this
     default_deadline_s: Optional[float] = 30.0
     hang_grace_s: float = 0.25       #: past deadline before a kill
     hang_timeout_s: Optional[float] = None  #: absolute in-flight cap
     tick_s: float = 0.02             #: pump wakeup period
     worker_start_timeout_s: float = 60.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    retry_seed: int = 0              #: jitter RNG seed (deterministic tests)
     breaker_failures: int = 5
     breaker_recovery_s: float = 1.0
-    breaker_probes: int = 1
     restart_base_s: float = 0.05     #: crash-loop backoff base
-    restart_max_s: float = 5.0
     max_restarts: Optional[int] = None   #: per worker slot; None = unbounded
     oom_fallback_after: int = 2      #: OOM deaths before exec-mode fallback
     fallback_exec_mode: Optional[str] = None  #: e.g. "tiled"
@@ -371,13 +368,11 @@ class _Deployment:
         self.path = path
         self.exec_mode = cfg.exec_mode
         self.workers = [
-            _WorkerHandle(i, CrashLoopBackoff(base_s=cfg.restart_base_s,
-                                              max_s=cfg.restart_max_s))
+            _WorkerHandle(i, CrashLoopBackoff(base_s=cfg.restart_base_s))
             for i in range(n_workers)]
         self.breaker = CircuitBreaker(
             failure_threshold=cfg.breaker_failures,
-            recovery_s=cfg.breaker_recovery_s,
-            half_open_probes=cfg.breaker_probes, name=key,
+            recovery_s=cfg.breaker_recovery_s, name=key,
             on_transition=self._on_breaker_transition)
         self.pending: List[Tuple[int, int, _Request]] = []  # (-prio, seq, r)
         self.delayed: List[Tuple[float, _Request]] = []     # (due, r)
@@ -449,11 +444,11 @@ class ServingFleet:
             raise ServingError("pass either a FleetConfig or keyword "
                                "overrides, not both")
         self.config = config
-        self._ctx = get_context(config.start_method)
+        self._ctx = get_context("fork")
         self._lock = threading.RLock()
         self._deployments: Dict[str, _Deployment] = {}
         self._req_seq = itertools.count(1)
-        self._rng = random.Random(config.retry_seed)
+        self._rng = random.Random(0)  # seeded: tests replay the jitter
         self._started = False
         self._shutdown = False
         self._pump_stop = threading.Event()
@@ -573,7 +568,7 @@ class ServingFleet:
                     f"{cfg.queue_limit} [request {rid}]",
                     retry_after=self._retry_after_hint(dep), model=key), rid)
             if (dep.admitted >= cfg.shed_watermark
-                    and priority < cfg.shed_priority_floor):
+                    and priority < SHED_PRIORITY_FLOOR):
                 dep.bump("shed")
                 raise _tag(ServingOverloadError(
                     f"{key}: shedding priority {priority} request at "
@@ -1050,8 +1045,7 @@ class ServingFleet:
                 proc = self._ctx.Process(
                     target=_worker_main,
                     args=(child_conn, dep.key, worker.index, worker.gen,
-                          dep.path, dep.exec_mode, self.config.faults,
-                          self.config.verify_artifacts),
+                          dep.path, dep.exec_mode, self.config.faults),
                     name=f"fleet-{dep.key}-w{worker.index}", daemon=True)
                 proc.start()
                 child_conn.close()

@@ -31,6 +31,23 @@ def build_small_cnn(seed: int = 1, channels: int = 16, hw: int = 16):
     return b.finish(r)
 
 
+def mobilenet_head_chain(length: int):
+    """LayerSpecs of MobileNet's first ``length`` fusable layers.
+
+    Found the way the compiler finds depth-first chains
+    (:func:`~repro.extensions.depthfirst.chain_runs_from_steps`), over
+    the int8 model compiled for the digital core.
+    """
+    from repro.extensions.depthfirst import chain_runs_from_steps
+    from repro.frontend.modelzoo import MLPERF_TINY
+    from repro.soc import get_platform
+
+    model = compile_model(MLPERF_TINY["mobilenet"](precision="int8"),
+                          get_platform("diana", enable_analog=False), HTVM)
+    run = chain_runs_from_steps(model.steps, model.output_name)[0]
+    return [model.steps[i].spec for i in run[:length]]
+
+
 def assert_compiled_matches_reference(graph, soc, config=HTVM, seed=3):
     """Compile, execute on the SoC sim, compare against the interpreter."""
     model = compile_model(graph, soc, config)

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 from repro.dory import make_conv_spec
 from repro.errors import UnsupportedError
 from repro.extensions import (
-    analyze_depth_first, chain_from_graph, layer_by_layer_peak_bytes,
+    analyze_depth_first, chain_runs_from_steps, layer_by_layer_span_bytes,
 )
+
+from helpers import mobilenet_head_chain
 
 
 def simple_chain(n=3, c=8, hw=32):
@@ -20,19 +22,19 @@ def simple_chain(n=3, c=8, hw=32):
 class TestChainValidation:
     def test_empty_rejected(self):
         with pytest.raises(UnsupportedError):
-            layer_by_layer_peak_bytes([])
+            layer_by_layer_span_bytes([])
 
     def test_channel_mismatch_rejected(self):
         a = make_conv_spec("a", 8, 8, 16, 16, padding=(1, 1))
         b = make_conv_spec("b", 4, 4, 16, 16, padding=(1, 1))
         with pytest.raises(UnsupportedError, match="mismatch"):
-            layer_by_layer_peak_bytes([a, b])
+            layer_by_layer_span_bytes([a, b])
 
     def test_spatial_mismatch_rejected(self):
         a = make_conv_spec("a", 8, 8, 16, 16, padding=(1, 1))
         b = make_conv_spec("b", 8, 8, 8, 8, padding=(1, 1))
         with pytest.raises(UnsupportedError, match="mismatch"):
-            layer_by_layer_peak_bytes([a, b])
+            layer_by_layer_span_bytes([a, b])
 
 
 class TestAnalysis:
@@ -99,31 +101,24 @@ class TestAnalysis:
 
 class TestChainExtraction:
     def test_mobilenet_prefix(self):
-        from repro.frontend.modelzoo import mobilenet_v1
-        from repro.patterns import default_specs, partition
-        graph = partition(mobilenet_v1(), default_specs())
-        chain = chain_from_graph(graph, max_len=5)
-        assert 1 <= len(chain) <= 5
+        chain = mobilenet_head_chain(5)
+        assert len(chain) == 5
         assert chain[0].in_channels == 3
 
     def test_depth_first_wins_on_mobilenet_head(self):
         """The motivating case of MCUNetV2: early high-resolution
         stages dominate peak memory; patching trades a small recompute
         overhead for a large memory cut."""
-        from repro.frontend.modelzoo import mobilenet_v1
-        from repro.patterns import default_specs, partition
-        graph = partition(mobilenet_v1(), default_specs())
-        chain = chain_from_graph(graph, max_len=3)
-        baseline = layer_by_layer_peak_bytes(chain)
+        chain = mobilenet_head_chain(3)
+        baseline = layer_by_layer_span_bytes(chain)
         plan = analyze_depth_first(chain, (4, 4))
         assert plan.patch_buffer_bytes < baseline
         assert plan.recompute_factor < 2.0
 
-    def test_no_chain_raises(self):
+    def test_no_chain_in_a_dense_model(self, digital_soc):
+        from repro.core import compile_model
         from repro.ir import GraphBuilder
-        from repro.patterns import default_specs, partition
         b = GraphBuilder(seed=0)
         x = b.input("x", (1, 8), "int8")
-        g = partition(b.finish(b.dense_requant(x, 4)), default_specs())
-        with pytest.raises(UnsupportedError):
-            chain_from_graph(g)
+        model = compile_model(b.finish(b.dense_requant(x, 4)), digital_soc)
+        assert chain_runs_from_steps(model.steps, model.output_name) == []

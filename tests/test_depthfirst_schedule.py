@@ -18,16 +18,16 @@ from hypothesis import given, settings, strategies as st
 from repro.core import CompilerConfig, compile_model
 from repro.core.program import AccelStep
 from repro.errors import OutOfMemoryError
-from repro.eval.depthfirst import depthfirst_report
+from repro.eval.depthfirst import depthfirst_report, format_depthfirst_reports
 from repro.eval.harness import CONFIGS, deploy
 from repro.extensions.depthfirst import (
-    _backward_ranges, analyze_depth_first, chain_runs_from_steps,
-    chain_savings, conv_chains_from_graph, layer_by_layer_span_bytes,
+    CHAIN_KINDS, _backward_ranges, _links, analyze_depth_first,
+    chain_runs_from_steps, chain_savings, layer_by_layer_span_bytes,
     plan_chain_grid, plan_depthfirst_steps,
 )
 from repro.frontend.modelzoo import MLPERF_TINY
-from repro.mapping import analyze_mapping, chain_candidate, prepare_graph
 from repro.runtime import EXEC_MODES, Executor, random_inputs, run_reference
+from repro.runtime.accounting import account_model
 from repro.serve import load_artifact, save_artifact
 from repro.soc import DEFAULT_PARAMS, get_platform
 
@@ -127,16 +127,29 @@ class TestHaloOracle:
 
 class TestPlanning:
     def test_chain_runs_respect_consumers_and_geometry(self):
-        graph, soc, base, _ = _compile_pair("resnet", "digital")
-        runs = chain_runs_from_steps(base.steps, base.output_name)
-        for run in runs:
-            assert len(run) >= 2
-            assert run == list(range(run[0], run[-1] + 1))
-            for idx in run:
-                assert isinstance(base.steps[idx], AccelStep)
-        # resnet's residual blocks close through their adds
-        kinds = [[base.steps[i].spec.kind for i in run] for run in runs]
-        assert ["conv2d", "conv2d", "add"] in kinds
+        for model in ("resnet", "mobilenet"):
+            _, _, base, _ = _compile_pair(model, "digital")
+            steps = base.steps
+            runs = chain_runs_from_steps(steps, base.output_name)
+            assert runs, model
+            for run in runs:
+                assert len(run) >= 2
+                assert run == list(range(run[0], run[-1] + 1))
+                for idx in run:
+                    assert isinstance(steps[idx], AccelStep)
+                for a, b in zip(run, run[1:]):
+                    assert _links(steps[a].spec, steps[b].spec)
+                    # an interior output feeds its successor and nothing else
+                    users = [s for s in steps
+                             if steps[a].output_name in s.input_names]
+                    assert users == [steps[b]]
+            kinds = [[steps[i].spec.kind for i in run] for run in runs]
+            if model == "resnet":
+                # resnet's residual blocks close through their adds
+                assert ["conv2d", "conv2d", "add"] in kinds
+            else:
+                # mobilenet's stages are plain conv/dwconv runs
+                assert all(k in CHAIN_KINDS for ks in kinds for k in ks)
 
     def test_grid_planner_respects_budget_and_gate(self):
         chain = build_chain(3, 3, input_hw=32, input_c=8)
@@ -172,11 +185,6 @@ class TestPlanning:
                              for s in fused.steps[c.start:c.stop - 1]]
                 for name, slab in zip(interiors, c.per_layer_patch_bytes):
                     assert fused.memory_plan.sizes[name] <= slab
-
-    def test_conv_chains_from_graph_finds_mobilenet_stages(self):
-        graph = prepare_graph(MLPERF_TINY["mobilenet"](precision="int8"))
-        chains = conv_chains_from_graph(graph)
-        assert chains and all(len(c) >= 2 for c in chains)
 
 
 class TestExecution:
@@ -296,6 +304,16 @@ class TestOomRescue:
         assert rep.bit_exact is True
         assert rep.chains
         assert rep.l2_peak_df < rep.l2_peak_base
+        # the layer-by-layer deployment never ran: no overhead to claim
+        assert rep.cycle_overhead is None
+        assert rep.chain_cycles_base == [None] * len(rep.chains)
+        model_table, chain_table = format_depthfirst_reports(
+            [rep]).split("\n\n")
+        row = model_table.splitlines()[1].split()
+        assert row[-2:] == ["-", "True"]  # "cycles x", "exact"
+        chain_rows = chain_table.splitlines()[1:]
+        assert len(chain_rows) == len(rep.chains)
+        assert all(r.split()[-1] == "-" for r in chain_rows)
 
 
 class TestThreading:
@@ -338,24 +356,30 @@ class TestThreading:
         base = deploy("resnet", "digital", exec_mode="fast")
         assert r.latency_ms > base.latency_ms  # recompute is priced
 
-    def test_mapping_prices_fused_chains(self):
-        precision, soc_kwargs, cfg = CONFIGS["digital"]
+    @pytest.mark.parametrize("model", ["resnet", "mobilenet"])
+    @pytest.mark.parametrize("config", ["digital", "mixed"])
+    def test_report_prices_adopted_chains(self, model, config):
+        """``repro df`` reports exactly the compiler's chains, with the
+        cycles the accounting pass charged over each chain's steps."""
+        precision, soc_kwargs, cfg = CONFIGS[config]
+        graph = MLPERF_TINY[model](precision=precision)
         soc = get_platform("diana", **soc_kwargs)
-        graph = prepare_graph(MLPERF_TINY["resnet"](precision=precision))
-        plan = analyze_mapping(graph, soc,
-                               cfg.with_overrides(depthfirst="on"))
-        assert plan.depthfirst
-        feasible = [r for r in plan.depthfirst if r["feasible"]]
-        assert feasible
-        for rec in feasible:
-            assert rec["latency_cycles"] >= rec["unfused_cycles"]
-        # off by default: no chain records, plan unchanged
-        assert analyze_mapping(graph, soc, cfg).depthfirst == []
-
-    def test_chain_candidate_infeasible_reason(self, digital_soc):
-        chain = build_chain(1, 2)
-        cand = chain_candidate(chain, ["soc.digital", "soc.digital"],
-                               digital_soc, CompilerConfig(),
-                               budget_bytes=1)
-        assert not cand.feasible
-        assert "grid" in cand.reason or "residency" in cand.reason
+        cfg = cfg.with_overrides(check_l2=False)
+        base = compile_model(graph, soc, cfg)
+        fused = compile_model(graph, soc, cfg.with_overrides(depthfirst="on"))
+        rep = depthfirst_report(model, config, mode="on")
+        assert rep.chains == fused.depthfirst_chains
+        assert [s.name for s in base.steps] == [s.name for s in fused.steps]
+        acct_df, acct_base = account_model(fused, soc), account_model(base, soc)
+        for c, df, lbl in zip(rep.chains, rep.chain_cycles_df,
+                              rep.chain_cycles_base):
+            span = slice(c.start, c.stop)
+            assert df == sum(r.total_cycles for r in acct_df.records[span])
+            assert lbl == sum(r.total_cycles
+                              for r in acct_base.records[span])
+            assert df >= lbl
+        chain_rows = format_depthfirst_reports([rep]).split("\n\n")
+        rows = chain_rows[1].splitlines()[1:] if rep.chains else []
+        assert [r.split()[-2:] for r in rows] == [
+            [f"{df:.0f}", f"{lbl:.0f}"]
+            for df, lbl in zip(rep.chain_cycles_df, rep.chain_cycles_base)]
