@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from dataclasses import dataclass, field
+from typing import Iterator, List, Optional, Tuple
 
 from .layer_spec import LayerSpec
 
@@ -92,12 +92,19 @@ class Tile:
 
 def _input_range(o0: int, o1: int, stride: int, f: int, pad: int,
                  in_dim: int) -> Tuple[int, int, int, int]:
-    """Input interval + residual padding for an output interval."""
+    """Input interval + residual padding for an output interval.
+
+    The window ``[lo, hi)`` may lie partly or (when the border is
+    thicker than the filter) wholly outside ``[0, in_dim)``; the slab is
+    its clipped, possibly empty, part and the pads make up the rest.
+    """
     lo = o0 * stride - pad
     hi = (o1 - 1) * stride + f - pad
-    pad_lo = max(0, -lo)
-    pad_hi = max(0, hi - in_dim)
-    return max(lo, 0), min(hi, in_dim), pad_lo, pad_hi
+    i0 = min(max(lo, 0), in_dim)
+    i1 = max(min(hi, in_dim), i0)
+    pad_lo = max(0, min(hi, 0) - lo)
+    pad_hi = max(0, hi - max(lo, in_dim))
+    return i0, i1, pad_lo, pad_hi
 
 
 def tiles_of(spec: LayerSpec, cfg: TileConfig) -> Iterator[Tile]:
@@ -139,12 +146,14 @@ def tiles_of(spec: LayerSpec, cfg: TileConfig) -> Iterator[Tile]:
                                last_reduction=(c1 == spec.in_channels))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TilingSolution:
     """Chosen tiling for one layer, with memory accounting.
 
     ``l1_in/out/weight_bytes`` are the *nominal* per-tile L1 footprints
-    (the LHS terms of the paper's Eq. 2).
+    (the LHS terms of the paper's Eq. 2). Frozen: ``spec`` and ``cfg``
+    cannot be reassigned, so the tile list is enumerated once and shared
+    by every later cost pass and tiled execution.
     """
 
     spec: LayerSpec
@@ -155,6 +164,8 @@ class TilingSolution:
     l1_weight_bytes: int
     objective: float
     needs_tiling: bool
+    _tiles: Optional[Tuple[Tile, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def l1_total_bytes(self) -> int:
@@ -164,5 +175,9 @@ class TilingSolution:
     def num_tiles(self) -> int:
         return self.cfg.num_tiles(self.spec)
 
-    def tiles(self) -> List[Tile]:
-        return list(tiles_of(self.spec, self.cfg))
+    def tiles(self) -> Tuple[Tile, ...]:
+        """Every tile instance, in :func:`tiles_of` order (memoized)."""
+        if self._tiles is None:
+            object.__setattr__(self, "_tiles",
+                               tuple(tiles_of(self.spec, self.cfg)))
+        return self._tiles

@@ -21,7 +21,7 @@ import weakref
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import SimulationError
 
@@ -29,34 +29,35 @@ from .errors import SimulationError
 def _pad_pairs(padding):
     """Normalize ``((pt, pb), (pl, pr))`` / symmetric ``(ph, pw)`` pads."""
     ph, pw = padding
-    pt, pb = (ph, ph) if np.isscalar(ph) else ph
-    pl, pr = (pw, pw) if np.isscalar(pw) else pw
+    pt, pb = (ph, ph) if isinstance(ph, (int, np.integer)) else ph
+    pl, pr = (pw, pw) if isinstance(pw, (int, np.integer)) else pw
     return pt, pb, pl, pr
 
 
 def pad_nchw(x: np.ndarray, padding, value: int = 0) -> np.ndarray:
-    """Zero-pad the two spatial dims of an NCHW tensor.
+    """Pad the two spatial dims of an NCHW tensor with ``value``.
 
     ``padding`` is either symmetric ``(ph, pw)`` or asymmetric
     ``((pad_top, pad_bottom), (pad_left, pad_right))`` — the latter is
-    what edge tiles of a DORY schedule need.
+    what edge tiles of a DORY schedule need. Unpadded inputs are
+    returned as is.
+    """
+    return _pad_cast(x, padding, x.dtype, value)
+
+
+def _pad_cast(x: np.ndarray, padding, dt, value: int = 0) -> np.ndarray:
+    """Pad and cast in one pass (conv/pool input preparation).
+
+    One allocation plus one slice assignment: cheaper than ``np.pad``
+    followed by ``astype``, which matters on per-tile calls.
     """
     pt, pb, pl, pr = _pad_pairs(padding)
     if pt == 0 and pb == 0 and pl == 0 and pr == 0:
-        return x
-    return np.pad(
-        x, ((0, 0), (0, 0), (pt, pb), (pl, pr)),
-        mode="constant", constant_values=value,
-    )
-
-
-def _pad_cast(x: np.ndarray, padding, acc_dt) -> np.ndarray:
-    """Zero-pad and cast in one pass (conv/pool input preparation)."""
-    pt, pb, pl, pr = _pad_pairs(padding)
-    if pt == 0 and pb == 0 and pl == 0 and pr == 0:
-        return np.asarray(x, dtype=acc_dt)
+        return np.asarray(x, dtype=dt)
     n, c, ih, iw = x.shape
-    out = np.zeros((n, c, ih + pt + pb, iw + pl + pr), dtype=acc_dt)
+    shape = (n, c, ih + pt + pb, iw + pl + pr)
+    out = (np.zeros(shape, dtype=dt) if value == 0
+           else np.full(shape, value, dtype=dt))
     out[:, :, pt:pt + ih, pl:pl + iw] = x
     return out
 
@@ -135,46 +136,126 @@ def _to_int32(acc: np.ndarray) -> np.ndarray:
 
 
 #: batch size at which dense convolutions switch from the per-tap GEMM
-#: to the explicit im2col GEMM. Per tap, the batched matmul runs N
-#: small stacked GEMMs and N strided accumulation passes; from a few
-#: samples up, one (K, C*fh*fw) x (C*fh*fw, OH*OW) GEMM per sample over
-#: a materialized column buffer is measurably faster (the serving
-#: batcher's hot path). Both orders are exact — see ``_acc_dtype``.
+#: to the explicit im2col GEMM whatever the shape. Per tap, the batched
+#: matmul runs N small stacked GEMMs and N strided accumulation passes;
+#: from a few samples up, one (K, C*fh*fw) x (C*fh*fw, OH*OW) GEMM per
+#: sample over a materialized column buffer is measurably faster (the
+#: serving batcher's hot path). Both orders are exact — see
+#: ``_acc_dtype``.
 _IM2COL_BATCH_THRESHOLD = 4
 
+#: MACs at or below which OpenBLAS runs a GEMM on one thread (its
+#: ``65536 * GEMM_MULTITHREAD_THRESHOLD`` cutoff, default threshold 4).
+#: Single-sample im2col GEMMs are split by output columns to stay under
+#: it: several serving processes each waking a BLAS thread pool for
+#: sub-millisecond GEMMs oversubscribe the cores (unsplit, a 2-process
+#: ResNet-8 fleet on 2 cores served 95 instead of 1291 req/s).
+_BLAS_ONE_THREAD_MACS = 1 << 18
 
-def _im2col_gemm(xp: np.ndarray, wa: np.ndarray, sh: int,
-                 sw: int) -> np.ndarray:
+
+def _im2col_gemm(xp: np.ndarray, wa: np.ndarray, sh: int, sw: int,
+                 oh: int, ow: int) -> np.ndarray:
     """Dense conv as one GEMM per sample over an explicit column buffer.
 
     Each output element is a single dot product over all ``c*fh*fw``
     taps, so the float-exactness bound of ``_acc_dtype`` (which is
     computed from exactly that reduction length) applies unchanged.
+    Below the batch threshold each sample's GEMM is split by output
+    columns into calls of at most ``_BLAS_ONE_THREAD_MACS`` MACs.
     """
     k, c, fh, fw = wa.shape
-    win = sliding_window_view(xp, (fh, fw), axis=(2, 3))[:, :, ::sh, ::sw]
-    n, _, oh, ow = win.shape[:4]
-    col = np.ascontiguousarray(
-        win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * fh * fw, oh * ow)
-    out = wa.reshape(k, c * fh * fw) @ col
+    n = xp.shape[0]
+    s0, s1, s2, s3 = xp.strides
+    # (n, c, fh, fw, oh, ow) window view built directly: no argument
+    # re-validation per call, unlike sliding_window_view
+    win = as_strided(xp, (n, c, fh, fw, oh, ow),
+                     (s0, s1, s2, s3, s2 * sh, s3 * sw))
+    red, cols = c * fh * fw, oh * ow
+    col = np.ascontiguousarray(win).reshape(n, red, cols)
+    wm = wa.reshape(k, red)
+    step = max(1, _BLAS_ONE_THREAD_MACS // (k * red))
+    if n >= _IM2COL_BATCH_THRESHOLD or step >= cols:
+        return (wm @ col).reshape(n, k, oh, ow)
+    out = np.empty((n, k, cols), dtype=col.dtype)
+    for i in range(n):
+        for j in range(0, cols, step):
+            np.matmul(wm, col[i, :, j:j + step], out=out[i, :, j:j + step])
     return out.reshape(n, k, oh, ow)
+
+
+def _per_tap_gemm(xp: np.ndarray, wa: np.ndarray, oh: int,
+                  ow: int) -> np.ndarray:
+    """Stride-1 dense conv as one ``(K, C) x (C, map)`` GEMM per tap.
+
+    No im2col copy: each tap GEMMs the whole padded feature map
+    (contiguous operands) and accumulates a shifted view of the result.
+    """
+    k, c, fh, fw = wa.shape
+    n, _, ihp, iwp = xp.shape
+    xf = xp.reshape(n, c, ihp * iwp)
+    y = np.empty((n, k, ihp * iwp), dtype=xp.dtype)
+    yv = y.reshape(n, k, ihp, iwp)
+    acc = np.empty((n, k, oh, ow), dtype=xp.dtype)
+    for dy in range(fh):
+        for dx in range(fw):
+            np.matmul(wa[:, :, dy, dx], xf, out=y)
+            tap = yv[:, :, dy:dy + oh, dx:dx + ow]
+            if dy == 0 and dx == 0:
+                # tap 0 initializes acc, saving a zeroing pass
+                np.copyto(acc, tap)
+            else:
+                acc += tap
+    return acc
+
+
+#: input channels x output pixels below which a single-sample stride-1
+#: dense conv runs as an im2col GEMM (see :func:`_use_im2col`).
+_IM2COL_MAX_C_PIXELS = 8192
+
+
+def _use_im2col(n: int, c: int, taps: int, sh: int, sw: int,
+                pixels: int) -> bool:
+    """Dense-conv dispatch: explicit im2col GEMM or per-tap GEMMs.
+
+    Batched inputs always take im2col. Single-sample, the rule is over
+    observable shape only, fitted by timing every dense convolution the
+    model zoo runs, full layers and DORY tiles (table in CHANGES.md):
+
+    * strided convolutions — per tap they would gather one strided
+      slice anyway (im2col 1.1-4x faster);
+    * few input channels (``C <= 4``) — per-tap GEMMs are then K x C
+      slivers, all call overhead (2.3-4x);
+    * small maps, ``C * pixels < 8192`` — tiles, where the per-tap
+      path's fixed cost of ``fh*fw`` GEMM calls dominates (1.1-3x);
+    * large filters (more than 25 taps, up to 29x).
+
+    Stride-1 convolutions with many channels over a large map keep the
+    per-tap path: there the im2col buffer is ``fh*fw`` times the input
+    and copying it costs as much as the taps' shifted adds save.
+    """
+    return (n >= _IM2COL_BATCH_THRESHOLD or sh != 1 or sw != 1 or c <= 4
+            or c * pixels < _IM2COL_MAX_C_PIXELS or taps > 25)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, strides=(1, 1), padding=(0, 0),
            groups: int = 1) -> np.ndarray:
     """Grouped 2D convolution, int32 accumulation.
 
-    Dense convolutions (``groups == 1``) run as per-tap GEMMs for small
-    batches and as an explicit im2col GEMM for batched inputs or large
-    filters; depthwise convolutions (``C_g == 1``) use a dedicated
-    einsum path with no Python loop over channels. int32 addition is
-    associative and commutative even under wraparound, so all paths are
-    byte-identical to the naive loop nest.
+    Dense convolutions (``groups == 1``) run either as per-tap GEMMs or
+    as an explicit im2col GEMM, chosen from the input's shape (see
+    :func:`_use_im2col`); depthwise convolutions (``C_g == 1``) use a
+    dedicated per-tap path with no Python loop over channels. int32
+    addition is associative and commutative even under wraparound, so
+    all paths are byte-identical to the naive loop nest.
 
     Args:
-        x: NCHW input (any integer dtype).
+        x: NCHW input (any integer dtype), unpadded.
         w: OIHW weights; I is C/groups.
-        strides/padding: spatial.
+        strides: spatial ``(sh, sw)``.
+        padding: symmetric ``(ph, pw)`` or per-edge ``((pt, pb), (pl,
+            pr))`` zero padding, applied in the same pass that casts
+            ``x`` to the accumulation dtype — a DORY edge tile passes
+            its residual border here instead of padding a copy first.
         groups: 1 for dense conv, C for depthwise.
 
     Returns:
@@ -189,9 +270,10 @@ def conv2d_acc(x: np.ndarray, w: np.ndarray, strides=(1, 1), padding=(0, 0),
 
     Returns the raw exact accumulator in whatever dtype the MAC
     reduction ran in (float32/float64 when BLAS-exact, else int32) —
-    a fresh array the caller owns. :func:`requantize_acc` consumes it
-    directly, skipping one full-tensor materialization on the serving
-    hot path; ``_to_int32`` recovers the public contract.
+    a fresh array the caller owns, on every path (dense, depthwise and
+    grouped). :func:`requantize_acc` consumes it directly, skipping one
+    full-tensor materialization on the serving hot path; ``_to_int32``
+    recovers the public contract.
     """
     n, c, ih, iw = x.shape
     k, cg, fh, fw = w.shape
@@ -209,51 +291,16 @@ def conv2d_acc(x: np.ndarray, w: np.ndarray, strides=(1, 1), padding=(0, 0),
     wa = _memo_cast(w, acc_dt)
     kg = k // groups
     if groups == 1:
-        if fh == 1 and fw == 1 and sh == 1 and sw == 1:
-            # pointwise conv: a batched GEMM over the flattened feature
-            # map, no im2col copy
+        if fh == 1 and fw == 1:
+            # pointwise conv: a batched GEMM over the flattened (for
+            # strided convs, subsampled) feature map, no im2col copy
+            if sh != 1 or sw != 1:
+                xp = np.ascontiguousarray(xp[:, :, ::sh, ::sw])
             out = wa[:, :, 0, 0] @ xp.reshape(n, c, oh * ow)
             return out.reshape(n, k, oh, ow)
-        if n >= _IM2COL_BATCH_THRESHOLD:
-            return _im2col_gemm(xp, wa, sh, sw)
-        if fh * fw <= 25:
-            # small filters: one GEMM per tap beats materializing the
-            # im2col gather
-            ihp, iwp = xp.shape[2], xp.shape[3]
-            acc = np.empty((n, k, oh, ow), dtype=acc_dt)
-            first = True  # tap 0 initializes acc, saving a zeroing pass
-            if sh == 1 and sw == 1:
-                # stride 1: GEMM the full feature map per tap (operands
-                # stay contiguous, no slice copies), accumulate shifted
-                # views of the result
-                xf = xp.reshape(n, c, ihp * iwp)
-                y = np.empty((n, k, ihp * iwp), dtype=acc_dt)
-                yv = y.reshape(n, k, ihp, iwp)
-                for dy in range(fh):
-                    for dx in range(fw):
-                        np.matmul(wa[:, :, dy, dx], xf, out=y)
-                        tap = yv[:, :, dy:dy + oh, dx:dx + ow]
-                        if first:
-                            np.copyto(acc, tap)
-                            first = False
-                        else:
-                            acc += tap
-                return acc
-            for dy in range(fh):
-                for dx in range(fw):
-                    sl = np.ascontiguousarray(
-                        xp[:, :, dy:dy + sh * oh:sh, dx:dx + sw * ow:sw])
-                    tap = (wa[:, :, dy, dx]
-                           @ sl.reshape(n, c, -1)).reshape(n, k, oh, ow)
-                    if first:
-                        np.copyto(acc, tap)
-                        first = False
-                    else:
-                        acc += tap
-            return acc
-        # large filters: materializing the im2col gather beats 25+
-        # per-tap passes even single-sample
-        return _im2col_gemm(xp, wa, sh, sw)
+        if _use_im2col(n, c, fh * fw, sh, sw, oh * ow):
+            return _im2col_gemm(xp, wa, sh, sw, oh, ow)
+        return _per_tap_gemm(xp, wa, oh, ow)
     if cg == 1 and kg == 1:
         # depthwise: per-tap multiply-accumulate, vectorized over all
         # channels (no Python loop over groups)
@@ -263,7 +310,7 @@ def conv2d_acc(x: np.ndarray, w: np.ndarray, strides=(1, 1), padding=(0, 0),
             for dx in range(fw):
                 acc += (xp[:, :, dy:dy + sh * oh:sh, dx:dx + sw * ow:sw]
                         * wd[None, :, dy, dx, None, None])
-        return _to_int32(acc)
+        return acc
     win = _windows(xp, fh, fw, sh, sw)
     if cg == 1:
         # channel-multiplier depthwise: every group owns one input
@@ -413,15 +460,32 @@ def bias_requantize(acc: np.ndarray, bias, shift: int, relu_after: bool,
         acc = acc + (np.asarray(bias, dtype=np.int32) + rnd).reshape(shape)
     elif rnd:
         acc = acc + rnd
+    else:
+        # shift == 0 and no bias: no add ran, so acc may still be the
+        # caller's array, which the in-place clamp must not clobber
+        acc = acc.copy()
     if shift > 0:
         # rnd > 0 forced an add above, so acc is a temporary we own
         np.right_shift(acc, np.int32(shift), out=acc)
     if relu_after:
         a_min = max(a_min, 0)
-    out = np.empty(acc.shape, dtype=np.int8)
-    # post-clip values fit int8, so the narrowing cast is exact
-    np.clip(acc, a_min, a_max, out=out, casting="unsafe")
-    return out
+    return _clamp_to_int8(acc, a_min, a_max)
+
+
+def _clamp_to_int8(acc: np.ndarray, a_min: int, a_max: int) -> np.ndarray:
+    """Clamp an accumulator *the caller owns* in place, then narrow it.
+
+    Two in-place ufunc passes skip ``np.clip``'s Python-level argument
+    handling, which dominates on tile-sized arrays. Post-clamp values
+    are small integers, so the narrowing int8 cast is exact.
+    """
+    np.maximum(acc, a_min, out=acc)
+    np.minimum(acc, a_max, out=acc)
+    return acc.astype(np.int8)
+
+
+#: float accumulator dtype -> bits of its exact-integer range
+_EXACT_INT_BITS = {np.dtype(np.float32): 24, np.dtype(np.float64): 53}
 
 
 def requantize_acc(acc: np.ndarray, bias, shift: int, relu_after: bool,
@@ -446,8 +510,7 @@ def requantize_acc(acc: np.ndarray, bias, shift: int, relu_after: bool,
     shift = int(shift)
     if shift < 0:
         raise SimulationError(f"negative shift {shift}")
-    exact_bits = {np.dtype(np.float32): 24,
-                  np.dtype(np.float64): 53}.get(acc.dtype)
+    exact_bits = _EXACT_INT_BITS.get(acc.dtype)
     if exact_bits and acc_bound > 0:
         rnd = (1 << (shift - 1)) if shift > 0 else 0
         bias_max = int(np.abs(bias).max()) if bias is not None and \
@@ -469,11 +532,7 @@ def requantize_acc(acc: np.ndarray, bias, shift: int, relu_after: bool,
                 np.floor(acc, out=acc)
             if relu_after:
                 a_min = max(a_min, 0)
-            out = np.empty(acc.shape, dtype=np.int8)
-            # post-clip values are exact small integers: the narrowing
-            # float -> int8 cast is exact
-            np.clip(acc, a_min, a_max, out=out, casting="unsafe")
-            return out
+            return _clamp_to_int8(acc, a_min, a_max)
     return bias_requantize(_to_int32(acc), bias, shift, relu_after,
                            a_min, a_max)
 

@@ -15,9 +15,12 @@ An inference has two products, computed in two places:
 accelerator layer's bytes:
 
 * ``"tiled"`` (default, verification mode) — actually iterate the DORY
-  tiling: slicing halos, padding edge tiles, accumulating int32 partial
-  sums across C blocks, writing back output tiles. Any tiling bug shows
-  up as a numerical mismatch against the reference interpreter.
+  tiling: slicing halos, accumulating int32 partial sums across C
+  blocks, writing back output tiles. An edge tile's residual zero
+  border is not materialized here: the unpadded slab goes to the
+  kernel with its ``((pt, pb), (pl, pr))`` pads, and the kernel pads
+  and casts it in one pass. Any tiling bug shows up as a numerical
+  mismatch against the reference interpreter.
 * ``"fast"`` — one full-layer kernel call per layer. Outputs are
   byte-identical (int32 accumulation is order-independent) at a
   fraction of the simulation wall-clock, and the whole batch of a
@@ -109,12 +112,13 @@ def _as_chw(arr: np.ndarray) -> np.ndarray:
     raise SimulationError(f"unsupported activation rank {arr.ndim}")
 
 
-def _tile_input(x_chw: np.ndarray, tile: Tile) -> np.ndarray:
-    """Slice + zero-pad the input slab one tile needs (NCHW, N=1)."""
-    slab = x_chw[tile.c0:tile.c1, tile.iy0:tile.iy1, tile.ix0:tile.ix1]
-    return K.pad_nchw(slab[None, ...],
-                      ((tile.pad_top, tile.pad_bottom),
-                       (tile.pad_left, tile.pad_right)))
+def _tile_input(x_chw: np.ndarray, tile: Tile):
+    """The unpadded input slab one tile reads (NCHW view, N=1) and the
+    ``((pt, pb), (pl, pr))`` zero border its edge still needs — the
+    kernel pads and casts the slab in one pass."""
+    slab = x_chw[None, tile.c0:tile.c1, tile.iy0:tile.iy1, tile.ix0:tile.ix1]
+    return slab, ((tile.pad_top, tile.pad_bottom),
+                  (tile.pad_left, tile.pad_right))
 
 
 def _alloc_output(spec: LayerSpec, batch: int = 1) -> np.ndarray:
@@ -142,17 +146,17 @@ def _compute_tile(accel, spec: LayerSpec, tile: Tile,
         out_chw[tile.c0:tile.c1, tile.oy0:tile.oy1,
                 tile.ox0:tile.ox1] = res[0]
         return
-    xin = _tile_input(x_chw, tile)
+    xin, pads = _tile_input(x_chw, tile)
     if spec.is_depthwise:
         w = spec.weight[tile.k0:tile.k1]
-        res = accel.execute(spec, xin, w, bias, padding=(0, 0))
+        res = accel.execute(spec, xin, w, bias, padding=pads)
         out_chw[tile.k0:tile.k1, tile.oy0:tile.oy1,
                 tile.ox0:tile.ox1] = res[0]
         return
     # conv2d: accumulate int32 partial sums across C blocks, then
     # requantize once — exactly what the generated tile loop does.
     w = spec.weight[tile.k0:tile.k1, tile.c0:tile.c1]
-    acc = accel.accumulate(spec, xin, w, padding=(0, 0))
+    acc = accel.accumulate(spec, xin, w, padding=pads)
     key = (tile.k0, tile.oy0, tile.ox0)
     if key in pending:
         acc = pending.pop(key) + acc
@@ -169,8 +173,15 @@ def execute_layer_tiled(accel, spec: LayerSpec, sol: TilingSolution,
     """Tile-by-tile functional execution of one accelerator layer (N=1).
 
     Exercises the full DORY schedule: halo slicing, edge-tile padding,
-    K/C/row blocking and int32 partial-sum accumulation.
+    K/C/row blocking and int32 partial-sum accumulation. DIANA runs one
+    sample at a time, and so does this function: a batched input is
+    refused (:meth:`Executor.run_batch` loops tiled mode per sample).
     """
+    batch = x.shape[0] if y is None else max(x.shape[0], y.shape[0])
+    if batch != 1:
+        raise SimulationError(
+            f"{spec.name}: tiled execution runs one sample, got a batch "
+            f"of {batch}; run the samples one at a time")
     x_chw = _as_chw(x)
     y_chw = _as_chw(y) if y is not None else None
     out = _alloc_output(spec)
@@ -208,8 +219,9 @@ def execute_chain_depth_first(accels, specs: List[LayerSpec], x: np.ndarray,
     boundary clipping), sliced, and the sub-pyramid recomputed with the
     *same* accelerator kernels layer-by-layer execution uses — so the
     result is byte-identical to running each layer in full. Residual
-    zero padding is applied per layer: whatever part of a patch's halo
-    falls outside the tensor is the convolution's own zero border.
+    zero padding is passed to each layer's kernel, which pads while
+    casting: whatever part of a patch's halo falls outside the tensor
+    is the convolution's own zero border.
 
     ``skips`` carries, per layer, the resident second operand of a
     residual ``add`` link (``None`` for conv layers): adds have
@@ -252,9 +264,8 @@ def execute_chain_depth_first(accels, specs: List[LayerSpec], x: np.ndarray,
                 pl = max(0, -(rx0 * spec.strides[1] - spec.padding[1]))
                 pr = max(0, (rx1 - 1) * spec.strides[1] + spec.fx
                          - spec.padding[1] - spec.ix)
-                padded = K.pad_nchw(patch, ((pt, pb), (pl, pr)))
-                patch = accel.execute(spec, padded, spec.weight, spec.bias,
-                                      padding=(0, 0))
+                patch = accel.execute(spec, patch, spec.weight, spec.bias,
+                                      padding=((pt, pb), (pl, pr)))
             out[:, :, y0:y1, x0:x1] = patch
     return out
 

@@ -10,57 +10,120 @@ from repro.errors import SimulationError
 
 
 def naive_conv2d(x, w, strides, padding, groups):
-    """O(n^7) oracle implementation."""
+    """Oracle: one exact int64 dot product per output window.
+
+    ``padding`` is ``(ph, pw)`` or ``((pt, pb), (pl, pr))``. Shares no
+    code with the kernels (own ``np.pad``, integer matmul, no BLAS).
+    """
     n, c, ih, iw = x.shape
     k, cg, fh, fw = w.shape
     sh, sw = strides
-    xp = np.pad(x.astype(np.int64),
-                ((0, 0), (0, 0), (padding[0],) * 2, (padding[1],) * 2))
+    (pt, pb), (pl, pr) = [(p, p) if np.isscalar(p) else p for p in padding]
+    xp = np.pad(x.astype(np.int64), ((0, 0), (0, 0), (pt, pb), (pl, pr)))
     oh = (xp.shape[2] - fh) // sh + 1
     ow = (xp.shape[3] - fw) // sw + 1
     out = np.zeros((n, k, oh, ow), dtype=np.int64)
     kg = k // groups
-    for b in range(n):
-        for kk in range(k):
-            g = kk // kg
-            for oy in range(oh):
-                for ox in range(ow):
-                    acc = 0
-                    for cc in range(cg):
-                        for fy in range(fh):
-                            for fx in range(fw):
-                                acc += (int(xp[b, g * cg + cc,
-                                               oy * sh + fy, ox * sw + fx])
-                                        * int(w[kk, cc, fy, fx]))
-                    out[b, kk, oy, ox] = acc
+    for g in range(groups):
+        wg = w[g * kg:(g + 1) * kg].astype(np.int64).reshape(kg, -1)
+        for oy in range(oh):
+            for ox in range(ow):
+                win = xp[:, g * cg:(g + 1) * cg, oy * sh:oy * sh + fh,
+                         ox * sw:ox * sw + fw].reshape(n, -1)
+                out[:, g * kg:(g + 1) * kg, oy, ox] = win @ wg.T
     return out.astype(np.int32)
 
 
-small_conv = st.tuples(
-    st.integers(1, 3),   # C per group
-    st.integers(1, 3),   # K per group
-    st.integers(1, 2),   # groups
-    st.integers(3, 7),   # spatial
-    st.integers(1, 3),   # filter
-    st.integers(1, 2),   # stride
-    st.integers(0, 1),   # padding
+conv_dims = st.tuples(
+    st.sampled_from([1, 2, 3, 5, 8, 16]),   # C per group
+    st.integers(1, 8),                      # K per group
+    st.sampled_from([1, 2]),                # groups
+    st.sampled_from([1, 5]),                # batch
+    st.integers(3, 20), st.integers(3, 20),  # input H, W
+    st.integers(1, 6), st.integers(1, 6),   # filter fh, fw
+    st.integers(1, 3), st.integers(1, 3),   # strides
+    st.tuples(*[st.integers(0, 2)] * 4),    # pt, pb, pl, pr
 )
 
 
+def _rand_conv(rng, n, c, k, cg, ih, iw, fh, fw):
+    x = rng.integers(-128, 128, (n, c, ih, iw), dtype=np.int64)
+    w = rng.integers(-128, 128, (k, cg, fh, fw), dtype=np.int64)
+    return x.astype(np.int8), w.astype(np.int8)
+
+
 class TestConv2dProperty:
-    @settings(max_examples=40, deadline=None)
-    @given(small_conv, st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    @given(conv_dims, st.integers(0, 2 ** 31 - 1))
     def test_matches_naive(self, dims, seed):
-        cg, kg, groups, hw, f, s, p = dims
-        if f > hw + 2 * p:
+        cg, kg, groups, n, ih, iw, fh, fw, sh, sw, (pt, pb, pl, pr) = dims
+        if fh > ih + pt + pb or fw > iw + pl + pr:
             return
         rng = np.random.default_rng(seed)
         c, k = cg * groups, kg * groups
-        x = rng.integers(-128, 128, (1, c, hw, hw), dtype=np.int64).astype(np.int8)
-        w = rng.integers(-128, 128, (k, cg, f, f), dtype=np.int64).astype(np.int8)
-        got = K.conv2d(x, w, (s, s), (p, p), groups)
-        want = naive_conv2d(x, w, (s, s), (p, p), groups)
+        x, w = _rand_conv(rng, n, c, k, cg, ih, iw, fh, fw)
+        pads = ((pt, pb), (pl, pr))
+        got = K.conv2d(x, w, (sh, sw), pads, groups)
+        want = naive_conv2d(x, w, (sh, sw), pads, groups)
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n,c,k,hw,f,s,branch,split", [
+        (1, 8, 8, 12, 1, 1, "pointwise", False),
+        (1, 8, 8, 12, 1, 2, "pointwise", False),
+        (1, 8, 8, 12, 3, 2, "im2col", False),     # strided
+        (1, 3, 16, 30, 3, 1, "im2col", True),     # C <= 4
+        (1, 16, 16, 12, 3, 1, "im2col", True),    # small map (a tile)
+        (1, 16, 16, 26, 3, 1, "per_tap", False),  # stride 1, large map
+        (1, 16, 8, 26, 6, 1, "im2col", True),     # 36 taps
+        (1, 16, 32, 16, 5, 1, "im2col", True),    # 25 taps
+        (5, 16, 16, 26, 3, 1, "im2col", False),   # batched: never split
+        (2, 16, 32, 24, 3, 2, "im2col", True),    # per-sample split loop
+    ])
+    def test_every_dense_branch(self, n, c, k, hw, f, s, branch, split):
+        """Deterministic shapes that reach each dense-conv path,
+        including im2col GEMMs split into one-BLAS-thread calls."""
+        pads = ((1, 1), (0, 2))
+        oh = (hw + 2 - f) // s + 1  # both pads total 2: square output
+        if f == 1:
+            assert branch == "pointwise"
+        else:
+            assert K._use_im2col(n, c, f * f, s, s, oh * oh) == (
+                branch == "im2col")
+        macs = k * c * f * f * oh * oh
+        assert split == (branch == "im2col" and n < 4
+                         and macs > K._BLAS_ONE_THREAD_MACS)
+        rng = np.random.default_rng(hw * 31 + f)
+        x, w = _rand_conv(rng, n, c, k, c, hw, hw, f, f)
+        got = K.conv2d(x, w, (s, s), pads)
+        np.testing.assert_array_equal(got, naive_conv2d(x, w, (s, s),
+                                                        pads, 1))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 16), st.sampled_from([1, 5]), st.integers(3, 12),
+           st.integers(1, 4), st.integers(1, 2),
+           st.tuples(*[st.integers(0, 1)] * 4), st.integers(0, 12),
+           st.booleans(), st.integers(0, 2 ** 31 - 1))
+    def test_depthwise_raw_accumulator(self, c, n, hw, f, s, pads, shift,
+                                       relu, seed):
+        """Depthwise ``conv2d_acc`` hands back its raw (float)
+        accumulator, and the float requantization tail equals the
+        int32 one."""
+        pt, pb, pl, pr = pads
+        if f > hw + min(pt + pb, pl + pr):
+            return
+        rng = np.random.default_rng(seed)
+        x, w = _rand_conv(rng, n, c, c, 1, hw, hw, f, f)
+        bias = rng.integers(-5000, 5000, c).astype(np.int32)
+        padding = ((pt, pb), (pl, pr))
+        acc = K.conv2d_acc(x, w, (s, s), padding, groups=c)
+        assert acc.dtype == np.float32
+        got = K.requantize_acc(acc, bias, shift, relu,
+                               acc_bound=(f * f) << 14)
+        ref = K.conv2d(x, w, (s, s), padding, groups=c)
+        np.testing.assert_array_equal(
+            ref, naive_conv2d(x, w, (s, s), padding, c))
+        np.testing.assert_array_equal(
+            got, K.bias_requantize(ref, bias, shift, relu))
 
     def test_depthwise_equals_grouped(self):
         rng = np.random.default_rng(0)
@@ -259,5 +322,8 @@ class TestBiasRequantize:
         want = K.clip(K.right_shift(want, shift), -128, 127).astype(np.int8)
         if relu:
             want = np.maximum(want, 0)
+        before = acc.copy()
         got = K.bias_requantize(acc, bias, shift, relu)
         np.testing.assert_array_equal(got, want)
+        # the in-place clamp works on a copy, never the caller's array
+        np.testing.assert_array_equal(acc, before)

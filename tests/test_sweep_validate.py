@@ -72,3 +72,23 @@ class TestValidateDeployment:
         assert report.mismatched_seeds == [0, 1]
         assert report.max_abs_error >= 1.0
         assert "FAIL" in str(report)
+
+    def test_output_shape_mismatch_is_reported(self, monkeypatch):
+        """A reference of another shape is a mismatch with infinite
+        error, not a broadcasting crash."""
+        from repro.frontend.modelzoo import toyadmos_dae
+        from repro.runtime import validate as v
+
+        graph = toyadmos_dae(seed=0)
+        soc = get_platform("diana", enable_analog=False)
+        model = compile_model(graph, soc, HTVM)
+        real = v.run_reference
+        monkeypatch.setattr(v, "run_reference",
+                            lambda g, feeds: real(g, feeds)[:, :-1])
+        report = validate_deployment(model, soc, runs=2, seed=5)
+        assert not report.passed
+        assert report.runs == 2 and report.exact_runs == 0
+        assert report.mismatched_seeds == [5, 6]
+        assert report.max_abs_error == float("inf")
+        assert report.cycles > 0
+        assert "FAIL" in str(report)
