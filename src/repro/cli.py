@@ -437,81 +437,69 @@ def cmd_load(args) -> int:
     return 0 if (bit_exact and cycles_equal) else 1
 
 
-def _serve_register(server, spec: str, args):
-    """Register one ``repro serve`` positional: artifact path or zoo name."""
-    from .serve import load_artifact
+def _serve_register(tier, spec: str, args, tmpdir: str):
+    """Register one ``repro serve`` positional — artifact path or zoo
+    name — on either tier; returns ``(key, CompiledModel, soc)``.
 
+    The fleet hands workers an artifact *path*, so there zoo names are
+    compiled and packed to a ``.dna`` under ``tmpdir`` first; the
+    in-process server hosts the compiled model directly.
+    """
+    from .serve import ServingFleet, load_artifact, pack_model
+
+    fleet = isinstance(tier, ServingFleet)
     if os.path.exists(spec) or spec.endswith(".dna"):
         art = load_artifact(spec)
-        return server.register_artifact(art), art.model
+        key = (tier.add_deployment(spec, key=art.key) if fleet
+               else tier.register_artifact(art))
+        return key, art.model, art.soc
     graph, soc, cfg = _deployment(args, spec)
+    if fleet:
+        path = os.path.join(tmpdir, f"{graph.name}.dna")
+        art = pack_model(graph, soc, cfg, path)
+        return tier.add_deployment(path, key=spec), art.model, art.soc
     compiled = compile_model(graph, soc, cfg)
-    return server.register_model(compiled, soc), compiled
+    return tier.register_model(compiled, soc), compiled, soc
 
 
-def _serve_load_loop(server, served, args) -> int:
-    """--requests/--clients load generation across the hosted models."""
-    import threading
+def _serve_load(tier, served, args) -> int:
+    """``--requests N``: closed-loop load on each hosted model; with
+    ``--verify`` every response must digest to the reference output."""
+    from .eval.loadgen import format_load_report, output_digest, run_load
 
-    import numpy as np
-
-    # precompute a small pool of (feeds, reference output) per model so
-    # --verify stays O(pool), not O(requests)
-    pool = {}
-    for key, compiled in served.items():
-        entries = []
-        for s in range(min(8, args.requests)):
-            feeds = random_inputs(compiled.graph, seed=args.seed + s)
-            ref = (np.asarray(run_reference(compiled.graph, feeds))
-                   if args.verify else None)
-            entries.append((feeds, ref))
-        pool[key] = entries
-    keys = list(served)
-    errors: list = []
-    futures = [None] * args.requests
-
-    def client(worker: int):
-        for i in range(worker, args.requests, args.clients):
-            key = keys[i % len(keys)]
-            feeds, _ = pool[key][i % len(pool[key])]
-            try:
-                futures[i] = (key, i, server.submit(key, feeds))
-            except Exception as exc:  # noqa: BLE001 — report, don't hang
-                errors.append(f"submit {i} ({key}): {exc}")
-
-    threads = [threading.Thread(target=client, args=(w,), daemon=True)
-               for w in range(args.clients)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=120)
-    for item in futures:
-        if item is None:
-            continue
-        key, i, fut = item
-        try:
-            out = fut.result(timeout=60)
-        except Exception as exc:  # noqa: BLE001
-            errors.append(f"request {i} ({key}): {exc}")
-            continue
-        _, ref = pool[key][i % len(pool[key])]
-        if ref is not None and not np.array_equal(np.asarray(out), ref):
-            errors.append(f"request {i} ({key}): output != reference")
-    print(server.format_stats())
-    if errors:
-        for e in errors[:10]:
-            print(f"error: {e}", file=sys.stderr)
-        print(f"FAIL: {len(errors)}/{args.requests} requests failed",
-              file=sys.stderr)
+    per_client = max(args.requests // args.clients, 1)
+    failures = []
+    completed = 0
+    for key, model in served.items():
+        feeds = random_inputs(model.graph, seed=args.seed)
+        report = run_load(tier, key, feeds, clients=args.clients,
+                          requests_per_client=per_client)
+        print(f"\n{key}:")
+        print(format_load_report(report))
+        completed += report.completed
+        if report.lost or (not args.chaos
+                           and report.completed < report.issued):
+            failures.append(f"{key}: lost or failed requests (see above)")
+        if args.verify and report.completed:
+            ref = output_digest(run_reference(model.graph, feeds))
+            if report.digests != {ref}:
+                failures.append(
+                    f"{key}: response digests {sorted(report.digests)} "
+                    f"!= reference {ref}")
+    print()
+    print(tier.format_stats())
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if failures:
         return 1
-    total = sum(s["requests"] for s in server.stats().values())
-    batches = sum(s["batches"] for s in server.stats().values())
-    print(f"OK: {total} requests in {batches} batches across "
-          f"{len(keys)} model(s), {args.clients} client(s)")
+    print(f"OK: {completed} requests across {len(served)} model(s), "
+          f"{args.clients} client(s)"
+          + (", every response matches the reference" if args.verify
+             else ""))
     return 0
 
 
-def _serve_interactive(server, served, args) -> int:
+def _serve_interactive(tier, served, args) -> int:
     """Local request loop: one 'MODEL [SEED]' request per stdin line."""
     import numpy as np
 
@@ -530,7 +518,7 @@ def _serve_interactive(server, served, args) -> int:
         try:
             seed = int(rest[0]) if rest else 0
             feeds = random_inputs(served[match].graph, seed=seed)
-            fut = server.submit(match, feeds)
+            fut = tier.submit(match, feeds)
             out = fut.result(timeout=60)
         except Exception as exc:  # noqa: BLE001 — a bad request is not fatal
             print(f"  error: {exc}")
@@ -539,26 +527,8 @@ def _serve_interactive(server, served, args) -> int:
         print(f"  {match}: seed={seed} output_sum={digest} "
               f"wall={fut.wall_s * 1e3:.2f} ms batch={fut.batch_size} "
               f"modeled={latency_ms(fut.cycles):.3f} ms")
-    print(server.format_stats())
+    print(tier.format_stats())
     return 0
-
-
-def _fleet_register(fleet, spec: str, args, tmpdir: str):
-    """Register one ``--fleet`` positional: artifact path or zoo name.
-
-    Returns ``(key, LoadedArtifact)``. The fleet hands workers an
-    artifact *path*, so zoo names are compiled and packed to a
-    temporary ``.dna`` first.
-    """
-    from .serve import load_artifact, pack_model
-
-    if os.path.exists(spec) or spec.endswith(".dna"):
-        art = load_artifact(spec)  # parent-side load only for feeds
-        return fleet.add_deployment(spec, key=art.key), art
-    graph, soc, cfg = _deployment(args, spec)
-    path = os.path.join(tmpdir, f"{graph.name}.dna")
-    art = pack_model(graph, soc, cfg, path)
-    return fleet.add_deployment(path, key=spec), art
 
 
 def _chaos_plan(seed: int):
@@ -575,80 +545,47 @@ def _chaos_plan(seed: int):
     ))
 
 
-def _serve_fleet(args) -> int:
-    """``repro serve --fleet``: multi-process supervised serving."""
+def cmd_serve(args) -> int:
     import tempfile
 
-    from .eval.loadgen import format_load_report, run_load
-    from .serve import FleetConfig, ServingFleet
+    from .serve import FleetConfig, InferenceServer, ServingFleet
 
-    cfg = FleetConfig(
-        workers=args.workers, exec_mode=args.exec_mode,
-        default_deadline_s=(args.deadline_ms / 1e3
-                            if args.deadline_ms else None),
-        faults=_chaos_plan(args.chaos_seed) if args.chaos else None,
-        fallback_exec_mode="tiled" if args.exec_mode != "tiled" else None,
-    )
-    rc = 0
-    with tempfile.TemporaryDirectory(prefix="repro-fleet-") as tmpdir, \
-            ServingFleet(cfg) as fleet:
+    if args.chaos and not args.fleet:
+        print("repro serve: error: --chaos needs --fleet", file=sys.stderr)
+        return 2
+    if args.fleet:
+        tier = ServingFleet(FleetConfig(
+            workers=args.workers, exec_mode=args.exec_mode,
+            default_deadline_s=(args.deadline_ms / 1e3
+                                if args.deadline_ms else None),
+            faults=_chaos_plan(args.chaos_seed) if args.chaos else None,
+            fallback_exec_mode=("tiled" if args.exec_mode != "tiled"
+                                else None)))
+    else:
+        tier = InferenceServer(
+            capacity=args.capacity, max_batch_size=args.max_batch_size,
+            max_wait_ms=args.max_wait_ms, exec_mode=args.exec_mode)
+    with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmpdir, \
+            tier:
         served = {}
         for spec in args.models:
-            key, art = _fleet_register(fleet, spec, args, tmpdir)
-            print(f"deployment {key}: {args.workers} worker(s), "
-                  f"exec_mode={args.exec_mode}"
+            key, model, _ = _serve_register(tier, spec, args, tmpdir)
+            print(f"deployment {key}: {model.name}, "
+                  f"{len(model.steps)} kernels, exec_mode={args.exec_mode}"
+                  + (f", {args.workers} worker(s)" if args.fleet else "")
                   + (" [chaos]" if args.chaos else ""))
-            served[key] = art.model
+            served[key] = model
         for key in served:
-            if not fleet.wait_ready(key, timeout=120):
+            if args.fleet and not tier.wait_ready(key, timeout=120):
                 print(f"error: deployment {key} failed to become ready",
                       file=sys.stderr)
                 return 1
-        n = args.requests or 32
-        per_client = max(n // args.clients, 1)
-        for key, compiled in served.items():
-            feeds = random_inputs(compiled.graph, seed=args.seed)
-            report = run_load(fleet, key, feeds, clients=args.clients,
-                              requests_per_client=per_client,
-                              deadline_s=cfg.default_deadline_s)
-            print(f"\n{key}:")
-            print(format_load_report(report))
-            if report.lost or (not args.chaos and report.failed):
-                rc = 1
-        print()
-        print(fleet.format_stats())
+        rc = (_serve_load if args.requests else _serve_interactive)(
+            tier, served, args)
         if args.metrics:
-            _emit_metrics(args.metrics, lambda: {"fleet": fleet.stats()})
-        if rc:
-            print("FAIL: lost or failed requests (see above)",
-                  file=sys.stderr)
-    return rc
-
-
-def cmd_serve(args) -> int:
-    from .serve import InferenceServer
-
-    if args.fleet:
-        return _serve_fleet(args)
-    server = InferenceServer(
-        capacity=args.capacity, max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms, exec_mode=args.exec_mode)
-    served = {}
-    try:
-        for spec in args.models:
-            key, compiled = _serve_register(server, spec, args)
-            print(f"registered {key} "
-                  f"({compiled.name}, {len(compiled.steps)} kernels)")
-            served[key] = compiled
-        if args.requests:
-            rc = _serve_load_loop(server, served, args)
-        else:
-            rc = _serve_interactive(server, served, args)
-        if args.metrics:
-            _emit_metrics(args.metrics, lambda: {"server": server.stats()})
+            _emit_metrics(args.metrics, lambda: {
+                "fleet" if args.fleet else "server": tier.stats()})
         return rc
-    finally:
-        server.shutdown(wait=True)
 
 
 def cmd_trace(args) -> int:
@@ -673,8 +610,8 @@ def cmd_trace(args) -> int:
                                     exec_mode=args.exec_mode)
             with tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp, \
                     ServingFleet(fleet_cfg) as fleet:
-                key, art = _fleet_register(fleet, args.model, args, tmp)
-                model, soc = art.model, art.soc
+                key, model, soc = _serve_register(fleet, args.model, args,
+                                                  tmp)
                 if not fleet.wait_ready(key, timeout=120):
                     print("error: fleet failed to become ready",
                           file=sys.stderr)

@@ -1,25 +1,34 @@
-"""Closed-loop load generation against the serving fleet.
+"""Closed-loop load generation against either serving tier.
 
-Drives a :class:`~repro.serve.fleet.ServingFleet` with N concurrent
+Drives an :class:`~repro.serve.server.InferenceServer` or a
+:class:`~repro.serve.fleet.ServingFleet` — both take
+``submit(key, feeds)`` and return the same
+:class:`~repro.serve.batcher.InferenceFuture` — with N concurrent
 client threads, each issuing requests back-to-back (closed loop: a
 client waits for its response — or typed rejection — before sending
 the next). Every outcome is accounted: the report distinguishes
 completions from each rejection/failure class by its stable ``S-*``
 code, so chaos benchmarks can assert *zero lost requests* — accepted
-work either completed or failed with a typed serving error.
+work either completed or failed with a typed serving error — and
+``issued == completed + rejected + unavailable + timeouts + failed +
+lost`` always holds. Each completed output is also digested, so a
+caller can byte-check the responses against a reference.
 
-Used by ``repro serve --fleet --requests N`` and the kill-a-worker
-scenario in ``benchmarks/bench_fleet.py``; see ``docs/RESILIENCE.md``
-for the chaos matrix that scenario runs under.
+Used by ``repro serve --requests N`` on both tiers and the
+kill-a-worker scenario in ``benchmarks/bench_fleet.py``; see
+``docs/RESILIENCE.md`` for the chaos matrix that scenario runs under.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Set
+
+import numpy as np
 
 from ..errors import (
     ServingError, ServingOverloadError, ServingTimeoutError,
@@ -36,6 +45,13 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[min(max(rank, 1), len(ordered)) - 1]
 
 
+def output_digest(output) -> str:
+    """Short content hash of one response (dtype, shape and bytes)."""
+    arr = np.ascontiguousarray(output)
+    head = f"{arr.dtype.str}{arr.shape}".encode()
+    return hashlib.sha256(head + arr.tobytes()).hexdigest()[:16]
+
+
 @dataclass
 class LoadReport:
     """Outcome of one load-generation run (all latencies in ms)."""
@@ -47,7 +63,7 @@ class LoadReport:
     rejected: int = 0        #: fast-failed at admission (overload/shed)
     unavailable: int = 0     #: breaker open / terminal deployment
     timeouts: int = 0        #: deadline or wait timeouts
-    failed: int = 0          #: other typed serving failures
+    failed: int = 0          #: other typed serving errors, at submit or result
     lost: int = 0            #: accepted but never resolved — must be 0
     errors_by_code: Dict[str, int] = field(default_factory=dict)
     #: first few client-visible request ids per error code (capped at
@@ -55,6 +71,9 @@ class LoadReport:
     #: through logs and traces
     request_ids_by_code: Dict[str, List[str]] = field(default_factory=dict)
     latencies_ms: List[float] = field(default_factory=list)
+    #: :func:`output_digest` of every completed response; one feeds
+    #: dict per run, so a correct tier yields exactly one
+    digests: Set[str] = field(default_factory=set)
 
     @property
     def accepted(self) -> int:
@@ -95,9 +114,9 @@ class LoadReport:
         }
 
 
-def run_load(fleet, key: str, feeds: Dict[str, Any], *, clients: int = 4,
+def run_load(tier, key: str, feeds: Dict[str, Any], *, clients: int = 4,
              requests_per_client: int = 25,
-             deadline_s: Optional[float] = 30.0,
+             deadline_s: Optional[float] = None,
              result_timeout_s: float = 60.0,
              think_time_s: float = 0.0,
              priority: int = 0,
@@ -107,12 +126,23 @@ def run_load(fleet, key: str, feeds: Dict[str, Any], *, clients: int = 4,
     A rejected submit (overload / breaker open) is *counted*, not
     retried against the budget — each client still issues exactly
     ``requests_per_client`` attempts, so acceptance under pressure is
-    visible in the report. ``lost`` counts accepted requests whose
-    future neither resolved nor failed within ``result_timeout_s``;
-    the fleet's contract is that this is always zero.
+    visible in the report; any other serving error at submit (unknown
+    key, malformed feeds, shut down) counts as ``failed``. ``lost``
+    counts accepted requests whose future neither resolved nor failed
+    within ``result_timeout_s``; both tiers' contract is that this is
+    always zero.
+
+    ``priority`` and ``deadline_s`` are fleet admission knobs, passed
+    to ``submit`` only when set (the in-process tier has neither);
+    ``deadline_s=None`` leaves the fleet's configured default.
     """
     report = LoadReport(clients=clients)
     lock = threading.Lock()
+    admission: Dict[str, Any] = {}
+    if priority:
+        admission["priority"] = priority
+    if deadline_s is not None:
+        admission["deadline_s"] = deadline_s
 
     def _client(idx: int) -> None:
         for _ in range(requests_per_client):
@@ -120,8 +150,7 @@ def run_load(fleet, key: str, feeds: Dict[str, Any], *, clients: int = 4,
                 report.issued += 1
             t0 = time.monotonic()
             try:
-                fut = fleet.submit(key, feeds, priority=priority,
-                                   deadline_s=deadline_s)
+                fut = tier.submit(key, feeds, **admission)
             except ServingOverloadError as exc:
                 with lock:
                     report.rejected += 1
@@ -135,12 +164,19 @@ def run_load(fleet, key: str, feeds: Dict[str, Any], *, clients: int = 4,
                     _count(report, exc)
                 time.sleep(backoff_on_reject_s)
                 continue
+            except ServingError as exc:
+                with lock:
+                    report.failed += 1
+                    _count(report, exc)
+                continue
             try:
-                fut.result(timeout=result_timeout_s)
+                out = fut.result(timeout=result_timeout_s)
+                latency_ms = 1e3 * (time.monotonic() - t0)
+                digest = output_digest(out)
                 with lock:
                     report.completed += 1
-                    report.latencies_ms.append(
-                        1e3 * (time.monotonic() - t0))
+                    report.latencies_ms.append(latency_ms)
+                    report.digests.add(digest)
             except ServingTimeoutError as exc:
                 with lock:
                     if fut.done():
@@ -150,8 +186,7 @@ def run_load(fleet, key: str, feeds: Dict[str, Any], *, clients: int = 4,
                         # wait timeout with the future still pending:
                         # the request is unaccounted — a lost request
                         report.lost += 1
-                        _ledger(report, "LOST",
-                                getattr(fut, "request_id", ""))
+                        _ledger(report, "LOST", fut.request_id)
             except ServingError as exc:
                 with lock:
                     report.failed += 1

@@ -10,6 +10,8 @@ and *serve many*:
   admission control, deadlines, retries, circuit breaking and chaos
   testing (``serve.faults``) for deployment-grade robustness.
 
+Both tiers' ``submit`` return the same :class:`InferenceFuture`.
+
 See ``docs/SERVING.md`` and ``docs/RESILIENCE.md``.
 """
 
@@ -20,7 +22,7 @@ from .artifact import (
 from .batcher import BatcherStats, DrainReport, DynamicBatcher, InferenceFuture
 from .faults import FAULT_KINDS, FaultInjector, FaultPlan, FaultRule, \
     corrupt_artifact
-from .fleet import FleetConfig, FleetFuture, ServingFleet
+from .fleet import FleetConfig, ServingFleet
 from .resilience import (
     BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN, CircuitBreaker,
     CrashLoopBackoff, RetryPolicy,
@@ -33,7 +35,7 @@ __all__ = [
     "pack_model", "save_artifact",
     "BatcherStats", "DrainReport", "DynamicBatcher", "InferenceFuture",
     "InferenceServer", "ServerConfig",
-    "FleetConfig", "FleetFuture", "ServingFleet",
+    "FleetConfig", "ServingFleet",
     "FaultPlan", "FaultRule", "FaultInjector", "FAULT_KINDS",
     "corrupt_artifact",
     "RetryPolicy", "CircuitBreaker", "CrashLoopBackoff",

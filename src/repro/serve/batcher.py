@@ -24,7 +24,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -73,58 +73,83 @@ def normalize_feeds(compiled, feeds: Dict[str, np.ndarray],
 
 
 class InferenceFuture:
-    """Handle to one queued request; resolved by the batcher worker."""
+    """Handle to one accepted request, the same type on both tiers.
 
-    def __init__(self, model: Optional[str] = None):
+    Settled exactly once — by a :class:`DynamicBatcher` worker or the
+    :class:`~repro.serve.fleet.ServingFleet` pump — with the output
+    array or a typed :class:`~repro.errors.ServingError`; a second
+    settlement is a bug and asserts. ``add_done_callback`` callbacks
+    run on the settling thread (or immediately if already done); they
+    power the fleet's asyncio bridge.
+    """
+
+    def __init__(self, model: str):
         self._event = threading.Event()
         self._output: Optional[np.ndarray] = None
         self._error: Optional[BaseException] = None
+        self._callbacks: List[Callable[["InferenceFuture"], None]] = []
+        self._cb_lock = threading.Lock()
         self._t_create = time.monotonic()
-        #: registry key / batcher name this request was bound for
+        #: model key / deployment this request was admitted for
         self.model = model
-        #: client-visible request identifier (``<model>#<seq>``)
+        #: client-visible request identifier (``<model>#<seq>``); the
+        #: same id appears in error messages, trace spans, and
+        #: loadgen's per-code ledger
         self.request_id = ""
-        #: filled by the batcher: wall seconds spent queued + executing
+        #: wall seconds from admission to settlement
         self.wall_s: Optional[float] = None
         #: modeled cycles of the inference (input-independent)
         self.cycles: Optional[float] = None
-        #: size of the coalesced batch this request rode in
+        #: executions consumed (>1 means the fleet retried the request)
+        self.attempts = 0
+        #: size of the batch the request executed in (1 on the fleet)
         self.batch_size: Optional[int] = None
 
     def done(self) -> bool:
         return self._event.is_set()
 
     def result(self, timeout: Optional[float] = None) -> np.ndarray:
-        """Block until resolved; re-raises the worker-side error.
+        """Block until settled; re-raises the serving-side error.
 
-        A timeout raises :class:`~repro.errors.ServingTimeoutError`
-        naming the model and the elapsed wall-clock — the wait timing
-        out does *not* cancel the request, which may still resolve.
+        A wait timeout raises :class:`~repro.errors.ServingTimeoutError`
+        naming the model and the elapsed wall-clock; it does *not*
+        cancel the request, which may still settle.
         """
         if not self._event.wait(timeout):
             elapsed = time.monotonic() - self._t_create
             raise ServingTimeoutError(
-                f"inference timed out after {elapsed:.3f}s"
-                + (f" waiting on {self.model}" if self.model else ""),
-                model=self.model, elapsed_s=elapsed)
+                f"inference timed out after {elapsed:.3f}s waiting on "
+                f"{self.model}", model=self.model, elapsed_s=elapsed)
         if self._error is not None:
             raise self._error
         return self._output
 
-    def _resolve(self, output: np.ndarray):
-        self._output = output
-        self._event.set()
+    def add_done_callback(
+            self, fn: Callable[["InferenceFuture"], None]) -> None:
+        with self._cb_lock:
+            if not self._event.is_set():
+                self._callbacks.append(fn)
+                return
+        fn(self)
 
-    def _fail(self, error: BaseException):
-        self._error = error
-        self._event.set()
+    def _settle(self, output: Optional[np.ndarray],
+                error: Optional[BaseException]) -> None:
+        with self._cb_lock:
+            if self._event.is_set():
+                raise AssertionError(
+                    f"future for {self.model} resolved twice")
+            self._output, self._error = output, error
+            self.wall_s = time.monotonic() - self._t_create
+            self._event.set()
+            callbacks, self._callbacks = self._callbacks, []
+        for fn in callbacks:
+            fn(self)
 
 
 @dataclass
 class _Request:
     feeds: Dict[str, np.ndarray]
     future: InferenceFuture
-    t_enqueue: float
 
 
 @dataclass
@@ -231,7 +256,7 @@ class DynamicBatcher:
         except ServingError as exc:
             raise ServingError(f"{exc} [request {rid}]", code=exc.code,
                                request_id=rid) from None
-        fut = InferenceFuture(model=self.name)
+        fut = InferenceFuture(self.name)
         fut.request_id = rid
         with self._submit_lock:
             if self._stopping:
@@ -239,7 +264,7 @@ class DynamicBatcher:
                     f"{self.name}: batcher is shut down [request {rid}]",
                     code="S-SHUTDOWN", request_id=rid)
             self._pending += 1
-            self._queue.put(_Request(normalized, fut, time.monotonic()))
+            self._queue.put(_Request(normalized, fut))
         return fut
 
     @property
@@ -361,7 +386,7 @@ class DynamicBatcher:
                 len(batch))
             reg.counter("batcher_batches_total", model=self.name).inc()
             for r in batch:
-                r.future._fail(exc)
+                r.future._settle(None, exc)
             with self._submit_lock:
                 self._pending -= len(batch)
                 if self._stopping:
@@ -369,6 +394,7 @@ class DynamicBatcher:
             return
         t1 = time.monotonic()
         cycles = result.perf.total_cycles
+        walls = [t1 - r.future._t_create for r in batch]
         with self._stats_lock:
             s = self._stats
             s.requests += len(batch)
@@ -377,21 +403,19 @@ class DynamicBatcher:
             s.cycles_per_inference = cycles
             s.batch_size_counts[len(batch)] = \
                 s.batch_size_counts.get(len(batch), 0) + 1
-            for r in batch:
-                wall = t1 - r.t_enqueue
-                s.wall_s_total += wall
-                s.wall_s_max = max(s.wall_s_max, wall)
+            s.wall_s_total += sum(walls)
+            s.wall_s_max = max(s.wall_s_max, *walls)
         reg.counter("batcher_requests_total", model=self.name).inc(
             len(batch))
         reg.counter("batcher_batches_total", model=self.name).inc()
         hist = reg.histogram("batcher_wall_ms", model=self.name)
-        for r in batch:
-            hist.observe((t1 - r.t_enqueue) * 1e3)
+        for wall in walls:
+            hist.observe(wall * 1e3)
         for i, r in enumerate(batch):
-            r.future.wall_s = t1 - r.t_enqueue
             r.future.cycles = cycles
+            r.future.attempts = 1
             r.future.batch_size = len(batch)
-            r.future._resolve(result.outputs[i:i + 1])
+            r.future._settle(result.outputs[i:i + 1], None)
         with self._submit_lock:
             self._pending -= len(batch)
             if self._stopping:

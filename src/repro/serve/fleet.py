@@ -68,10 +68,11 @@ from ..errors import (
 )
 from ..obs.metrics import get_registry
 from ..obs.trace import Span, collect, get_tracer
+from .batcher import InferenceFuture
 from .faults import FaultInjector, FaultPlan
 from .resilience import CircuitBreaker, CrashLoopBackoff, RetryPolicy
 
-__all__ = ["FleetConfig", "FleetFuture", "ServingFleet"]
+__all__ = ["FleetConfig", "ServingFleet"]
 
 #: exit code a worker uses to report an out-of-memory death.
 OOM_EXIT_CODE = 42
@@ -251,90 +252,22 @@ class FleetConfig:
             self.shed_watermark = max(self.queue_limit // 2, 1)
 
 
-class FleetFuture:
-    """Handle to one accepted fleet request.
-
-    Resolved exactly once by the pump thread — with the output array,
-    or with a typed :class:`~repro.errors.ServingError` subclass.
-    ``add_done_callback`` powers the asyncio bridge; callbacks run on
-    the resolving thread (or immediately if already done).
-    """
-
-    def __init__(self, model: str):
-        self._event = threading.Event()
-        self._output: Optional[np.ndarray] = None
-        self._error: Optional[BaseException] = None
-        self._callbacks: List[Callable[["FleetFuture"], None]] = []
-        self._cb_lock = threading.Lock()
-        self._t_create = time.monotonic()
-        #: deployment key this request was admitted for
-        self.model = model
-        #: client-visible request identifier (``<deployment>#<seq>``);
-        #: the same id appears in error messages, trace spans, and
-        #: loadgen's per-code ledger
-        self.request_id = ""
-        #: root trace span of this request (None when tracing is off);
-        #: finished by the pump when the future settles
-        self._trace_span: Optional[Span] = None
-        #: dispatch attempts consumed (>1 means the request was retried)
-        self.attempts = 0
-        #: modeled cycles of the inference (set on success)
-        self.cycles: Optional[float] = None
-        #: wall seconds from admission to resolution
-        self.wall_s: Optional[float] = None
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def result(self, timeout: Optional[float] = None) -> np.ndarray:
-        """Block until resolved; re-raises the serving-side error.
-
-        A wait timeout raises
-        :class:`~repro.errors.ServingTimeoutError` but does not cancel
-        the request (pass a ``deadline_s`` at submit for that).
-        """
-        if not self._event.wait(timeout):
-            elapsed = time.monotonic() - self._t_create
-            raise ServingTimeoutError(
-                f"result wait timed out after {elapsed:.3f}s "
-                f"on {self.model}", model=self.model, elapsed_s=elapsed)
-        if self._error is not None:
-            raise self._error
-        return self._output
-
-    def add_done_callback(self, fn: Callable[["FleetFuture"], None]) -> None:
-        with self._cb_lock:
-            if not self._event.is_set():
-                self._callbacks.append(fn)
-                return
-        fn(self)
-
-    def _settle(self, output: Optional[np.ndarray],
-                error: Optional[BaseException]) -> None:
-        with self._cb_lock:
-            if self._event.is_set():
-                raise AssertionError(
-                    f"future for {self.model} resolved twice")
-            self._output, self._error = output, error
-            self.wall_s = time.monotonic() - self._t_create
-            self._event.set()
-            callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            fn(self)
-
-
 @dataclass
 class _Request:
     req_id: int
     request_id: str              #: client-visible "<deployment>#<seq>"
     feeds: Dict[str, Any]
-    future: FleetFuture
+    future: InferenceFuture
     priority: int
     deadline: Optional[float]    #: absolute time.monotonic()
     t_submit: float
     attempts: int = 0
     #: root span (tracing enabled only); its context crosses the pipe
     span: Optional[Span] = None
+
+
+#: one terminal outcome queued by ``ServingFleet._finish``
+_Settled = Tuple[_Request, Optional[np.ndarray], Optional[ServingError]]
 
 
 class _WorkerHandle:
@@ -522,8 +455,9 @@ class ServingFleet:
     # -- admission (client side) --------------------------------------------
 
     def submit(self, key: str, feeds: Dict[str, Any], *, priority: int = 0,
-               deadline_s: Optional[float] = -1.0) -> FleetFuture:
-        """Admit one request; returns a :class:`FleetFuture`.
+               deadline_s: Optional[float] = -1.0) -> InferenceFuture:
+        """Admit one request; returns an
+        :class:`~repro.serve.batcher.InferenceFuture`.
 
         ``deadline_s`` is the request's end-to-end budget (default: the
         config's ``default_deadline_s``; pass ``None`` for no
@@ -578,7 +512,7 @@ class ServingFleet:
                     shed=True), rid)
             if deadline_s == -1.0:
                 deadline_s = cfg.default_deadline_s
-            fut = FleetFuture(dep.key)
+            fut = InferenceFuture(dep.key)
             fut.request_id = rid
             span = None
             tracer = get_tracer()
@@ -589,7 +523,6 @@ class ServingFleet:
                 span = tracer.begin(
                     "fleet.request", category="serve", request_id=rid,
                     deployment=dep.key, priority=priority)
-                fut._trace_span = span
             req = _Request(
                 req_id=req_id, request_id=rid, feeds=feeds,
                 future=fut, priority=priority,
@@ -619,7 +552,7 @@ class ServingFleet:
         afut = loop.create_future()
         fut = self.submit(key, feeds, **kw)
 
-        def _bridge(f: FleetFuture):
+        def _bridge(f: InferenceFuture):
             def _apply():
                 if afut.cancelled():
                     return
@@ -719,8 +652,7 @@ class ServingFleet:
                     os.read(self._waker_r, 4096)
                 except OSError:
                     pass
-            settled: List[Tuple[FleetFuture, Optional[np.ndarray],
-                                Optional[BaseException]]] = []
+            settled: List[_Settled] = []
             with self._lock:
                 now = time.monotonic()
                 for conn in ready:
@@ -734,31 +666,45 @@ class ServingFleet:
                 self._expire_pending(now, settled)
                 self._release_retries(now)
                 self._start_due_workers(now)
-                self._dispatch(now, settled)
-            for fut, output, error in settled:
-                self._finalize(fut, error)
-                fut._settle(output, error)
+                self._dispatch(now)
+            self._settle_all(settled)
         # pump exits only at shutdown; remaining state is handled there
 
-    def _finalize(self, fut: FleetFuture,
-                  error: Optional[BaseException]) -> None:
-        """Metrics + root-span close for one settling request (called
-        just before the future resolves, off the fleet lock)."""
-        wall_s = time.monotonic() - fut._t_create
-        get_registry().histogram(
-            "fleet_request_ms", deployment=fut.model,
-            outcome="ok" if error is None else "error",
-        ).observe(wall_s * 1e3)
-        span, fut._trace_span = fut._trace_span, None
-        if span is not None:
-            tracer = get_tracer()
-            if tracer is not None:
+    def _settle_all(self, settled: List[_Settled]) -> None:
+        """Metrics, root-span close, then the future itself, for each
+        request :meth:`_finish` queued (off the fleet lock)."""
+        tracer = get_tracer()
+        for req, output, error in settled:
+            get_registry().histogram(
+                "fleet_request_ms", deployment=req.future.model,
+                outcome="ok" if error is None else "error",
+            ).observe((time.monotonic() - req.t_submit) * 1e3)
+            if req.span is not None and tracer is not None:
                 status = ("ok" if error is None
                           else getattr(error, "code", None) or "error")
-                tracer.finish(span, status=status, attempts=fut.attempts)
+                tracer.finish(req.span, status=status, attempts=req.attempts)
+            req.future._settle(output, error)
 
     # every helper below runs on the pump thread with self._lock held;
     # futures are settled after the lock drops (via the `settled` list)
+
+    def _finish(self, dep: _Deployment, req: _Request, settled: List,
+                output: Optional[np.ndarray] = None,
+                error: Optional[ServingError] = None) -> None:
+        """The one terminal path of an admitted request: release its
+        admission slot, count the outcome, tag the error with the
+        request id, and queue the future for :meth:`_settle_all`."""
+        dep.admitted -= 1
+        req.future.attempts = req.attempts
+        if error is None:
+            dep.bump("completed")
+        else:
+            dep.bump("failed")
+            if isinstance(error, ServingTimeoutError):
+                dep.bump("timeouts")
+            if error.request_id is None:
+                _tag(error, req.request_id)
+        settled.append((req, output, error))
 
     def _drain_conn(self, dep: _Deployment, worker: _WorkerHandle,
                     now: float, settled: List) -> None:
@@ -804,13 +750,11 @@ class ServingFleet:
                     tracer.adopt(spans)
                 if kind == "ok":
                     _, _, output, cycles, exec_s, _ = msg
-                    dep.admitted -= 1
-                    dep.bump("completed")
                     dep.breaker.record_success()
                     dep.ema_exec_s = 0.8 * dep.ema_exec_s + 0.2 * exec_s
-                    req.future.attempts = req.attempts
                     req.future.cycles = cycles
-                    settled.append((req.future, output, None))
+                    req.future.batch_size = 1
+                    self._finish(dep, req, settled, output=output)
                 else:
                     _, _, code, text, _ = msg
                     dep.breaker.record_failure()
@@ -854,16 +798,13 @@ class ServingFleet:
         """Fail every queued request, each with its own error instance
         so the per-request id survives into the message the client
         sees."""
-        for _, _, req in dep.pending:
-            dep.admitted -= 1
-            dep.bump("failed")
-            settled.append((req.future, None, make_error(req.request_id)))
+        queued = [req for _, _, req in dep.pending] \
+            + [req for _, req in dep.delayed]
         dep.pending.clear()
-        for _, req in dep.delayed:
-            dep.admitted -= 1
-            dep.bump("failed")
-            settled.append((req.future, None, make_error(req.request_id)))
         dep.delayed.clear()
+        for req in queued:
+            self._finish(dep, req, settled,
+                         error=make_error(req.request_id))
 
     def _check_liveness(self, now: float, settled: List) -> None:
         for dep in self._deployments.values():
@@ -947,23 +888,18 @@ class ServingFleet:
                 worker.inflight = None
                 dep.breaker.record_failure()
                 if req.deadline is not None and now >= req.deadline:
-                    dep.admitted -= 1
-                    dep.bump("failed")
-                    dep.bump("timeouts")
                     elapsed = now - req.t_submit
-                    settled.append((req.future, None, _tag(
-                        ServingTimeoutError(
-                            f"{dep.key}: request {req.request_id} missed "
-                            f"its deadline after {elapsed:.3f}s (worker "
-                            f"{worker.index} hung and was killed)",
-                            model=dep.key, elapsed_s=elapsed),
-                        req.request_id)))
+                    self._finish(dep, req, settled, error=ServingTimeoutError(
+                        f"{dep.key}: request {req.request_id} missed its "
+                        f"deadline after {elapsed:.3f}s (worker "
+                        f"{worker.index} hung and was killed)",
+                        model=dep.key, elapsed_s=elapsed))
                 else:
-                    self._retry_or_fail(dep, req, _tag(WorkerCrashError(
+                    self._retry_or_fail(dep, req, WorkerCrashError(
                         f"{dep.key}: worker {worker.index} hung past "
                         f"hang_timeout and was killed holding request "
                         f"{req.request_id}", model=dep.key,
-                        worker=worker.index), req.request_id), now, settled)
+                        worker=worker.index), now, settled)
                 self._close_worker(worker)
                 worker.state = "down"
                 worker.next_start_at = now + worker.backoff.next_delay_s()
@@ -978,16 +914,12 @@ class ServingFleet:
             for entry in dep.pending:
                 req = entry[2]
                 if req.deadline is not None and now >= req.deadline:
-                    dep.admitted -= 1
-                    dep.bump("failed")
                     dep.bump("expired")
-                    dep.bump("timeouts")
                     elapsed = now - req.t_submit
-                    settled.append((req.future, None, _tag(
-                        ServingTimeoutError(
-                            f"{dep.key}: request {req.request_id} expired "
-                            f"in queue after {elapsed:.3f}s", model=dep.key,
-                            elapsed_s=elapsed), req.request_id)))
+                    self._finish(dep, req, settled, error=ServingTimeoutError(
+                        f"{dep.key}: request {req.request_id} expired in "
+                        f"queue after {elapsed:.3f}s", model=dep.key,
+                        elapsed_s=elapsed))
                 else:
                     keep.append(entry)
             if len(keep) != len(dep.pending):
@@ -1015,14 +947,7 @@ class ServingFleet:
                 dep.bump("retried")
                 dep.delayed.append((now + delay, req))
                 return
-        dep.admitted -= 1
-        dep.bump("failed")
-        if isinstance(error, ServingTimeoutError):
-            dep.bump("timeouts")
-        if error.request_id is None:
-            _tag(error, req.request_id)
-        req.future.attempts = req.attempts
-        settled.append((req.future, None, error))
+        self._finish(dep, req, settled, error=error)
 
     def _start_due_workers(self, now: float) -> None:
         if self._shutdown:
@@ -1053,7 +978,7 @@ class ServingFleet:
                 worker.state = "starting"
                 worker.spawned_at = now
 
-    def _dispatch(self, now: float, settled: List) -> None:
+    def _dispatch(self, now: float) -> None:
         for dep in self._deployments.values():
             if dep.failed is not None or not dep.pending:
                 continue
@@ -1148,10 +1073,8 @@ class ServingFleet:
                 for worker in dep.workers:
                     req, worker.inflight = worker.inflight, None
                     if req is not None:
-                        dep.admitted -= 1
-                        dep.bump("failed")
-                        settled.append((req.future, None,
-                                        make_error(req.request_id)))
+                        self._finish(dep, req, settled,
+                                     error=make_error(req.request_id))
                     if worker.conn is not None:
                         try:
                             worker.conn.send(("stop",))
@@ -1159,9 +1082,7 @@ class ServingFleet:
                             pass
             procs = [(w.proc, w) for dep in self._deployments.values()
                      for w in dep.workers if w.proc is not None]
-        for fut, output, error in settled:
-            self._finalize(fut, error)
-            fut._settle(output, error)
+        self._settle_all(settled)
         for proc, worker in procs:
             proc.join(timeout=2.0)
             if proc.is_alive():

@@ -6,6 +6,7 @@ that produced it — is asserted over the full model zoo x Table I
 configuration grid.
 """
 
+import contextlib
 import subprocess
 import sys
 import threading
@@ -15,12 +16,13 @@ import pytest
 
 from repro.core import CompilerConfig, compile_model
 from repro.errors import ArtifactError, OutOfMemoryError, ServingError
+from repro.eval.loadgen import output_digest, run_load
 from repro.eval.harness import CONFIGS, deploy, deploy_artifact
 from repro.frontend.modelzoo import MLPERF_TINY
 from repro.runtime import Executor, random_inputs, run_reference
 from repro.serve import (
-    InferenceServer, artifact_from_dict, artifact_to_dict, load_artifact,
-    pack_model, save_artifact,
+    InferenceServer, ServingFleet, artifact_from_dict, artifact_to_dict,
+    load_artifact, pack_model, save_artifact,
 )
 from repro.serve.batcher import DynamicBatcher
 from repro.soc import get_platform
@@ -322,6 +324,86 @@ class TestInferenceServer:
         srv.shutdown()  # idempotent
 
 
+@pytest.fixture(scope="module")
+def toy_dna(tmp_path_factory):
+    graph, soc, cfg = _compile_cell("toyadmos", "digital")
+    path = str(tmp_path_factory.mktemp("dna") / "toy.dna")
+    pack_model(graph, soc, cfg, path, validate_runs=0)
+    return path
+
+
+@contextlib.contextmanager
+def _tier(kind: str, path: str):
+    """A started tier of ``kind`` serving ``path``: ``(tier, key)``."""
+    if kind == "fleet":
+        with ServingFleet(workers=1) as fleet:
+            key = fleet.add_deployment(path, key="toy")
+            assert fleet.wait_ready(key, timeout=60)
+            yield fleet, key
+    else:
+        with InferenceServer() as srv:
+            yield srv, srv.register_artifact(path)
+
+
+class TestClientContract:
+    """Both tiers speak one request contract: one future type, and a
+    load report that accounts for every request issued."""
+
+    def test_both_tiers_return_one_future_type(self, toy_dna):
+        art = load_artifact(toy_dna)
+        feeds = random_inputs(art.model.graph, seed=4)
+        ref = np.asarray(run_reference(art.model.graph, feeds))
+        with _tier("server", toy_dna) as (server, skey), \
+                _tier("fleet", toy_dna) as (fleet, fkey):
+            futs = [server.submit(skey, feeds), fleet.submit(fkey, feeds)]
+            assert type(futs[0]) is type(futs[1])
+            for fut in futs:
+                assert np.array_equal(fut.result(60), ref)
+                assert fut.cycles > 0 and fut.attempts == 1
+                assert fut.batch_size == 1 and fut.wall_s > 0
+                assert fut.request_id
+
+    def test_in_process_future_callbacks_and_single_settlement(
+            self, toy_dna):
+        art = load_artifact(toy_dna)
+        feeds = random_inputs(art.model.graph, seed=5)
+        seen = []
+        with _tier("server", toy_dna) as (server, key):
+            fut = server.submit(key, feeds)
+            fut.add_done_callback(seen.append)
+            out = fut.result(60)
+        fut.add_done_callback(seen.append)  # already done: runs at once
+        assert seen == [fut, fut]
+        with pytest.raises(AssertionError, match="resolved twice"):
+            fut._settle(out, None)
+
+    @pytest.mark.parametrize("kind", ["server", "fleet"])
+    @pytest.mark.parametrize("case", ["unknown_key", "malformed_feeds"])
+    def test_load_report_accounts_every_request(self, toy_dna, kind, case):
+        with _tier(kind, toy_dna) as (tier, key):
+            feeds = {} if case == "malformed_feeds" else random_inputs(
+                load_artifact(toy_dna).model.graph, seed=0)
+            report = run_load(tier, "nope" if case == "unknown_key" else key,
+                              feeds, clients=2, requests_per_client=3)
+        assert report.issued == 6
+        assert report.issued == (
+            report.completed + report.rejected + report.unavailable
+            + report.timeouts + report.failed + report.lost)
+        assert report.completed == 0 and report.failed > 0
+        assert all(code.startswith("S-") for code in report.errors_by_code)
+
+    @pytest.mark.parametrize("kind", ["server", "fleet"])
+    def test_load_report_digests_one_response(self, toy_dna, kind):
+        graph = load_artifact(toy_dna).model.graph
+        feeds = random_inputs(graph, seed=6)
+        with _tier(kind, toy_dna) as (tier, key):
+            report = run_load(tier, key, feeds, clients=2,
+                              requests_per_client=3)
+        assert report.completed == 6
+        assert report.digests == {
+            output_digest(run_reference(graph, feeds))}
+
+
 class TestRequantizeAccGuards:
     def test_float64_path_preserves_int32_wraparound(self):
         """A provable-in-f64 accumulator beyond int32 must still wrap
@@ -453,6 +535,26 @@ class TestServingCli:
         assert proc.returncode == 0, proc.stderr
         assert "error: invalid literal" in proc.stdout
         assert proc.stdout.count("output_sum=") == 1
+
+    def test_serve_fleet_verify(self):
+        proc = self.run_cli("serve", "toyadmos", "--config", "digital",
+                            "--fleet", "--workers", "1", "--requests", "4",
+                            "--clients", "1", "--verify")
+        assert proc.returncode == 0, proc.stderr
+        assert "OK: 4 requests" in proc.stdout
+
+    def test_serve_fleet_interactive_loop(self):
+        proc = self.run_cli("serve", "toyadmos", "--config", "digital",
+                            "--fleet", "--workers", "1",
+                            stdin="toyadmos 1\nnope\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("output_sum=") == 1
+        assert "unknown model 'nope'" in proc.stdout
+
+    def test_serve_chaos_needs_fleet(self):
+        proc = self.run_cli("serve", "toyadmos", "--chaos")
+        assert proc.returncode == 2
+        assert "--chaos needs --fleet" in proc.stderr
 
     def test_serve_fleet_zoo_name(self):
         proc = self.run_cli("serve", "toyadmos", "--config", "digital",

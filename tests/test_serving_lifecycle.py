@@ -156,21 +156,14 @@ class TestShutdownOrdering:
 
         resolutions: dict = {}
         res_lock = threading.Lock()
-        orig_resolve = InferenceFuture._resolve
-        orig_fail = InferenceFuture._fail
+        orig_settle = InferenceFuture._settle
 
-        def counting_resolve(self, output):
+        def counting_settle(self, output, error):
             with res_lock:
                 resolutions[id(self)] = resolutions.get(id(self), 0) + 1
-            orig_resolve(self, output)
+            orig_settle(self, output, error)
 
-        def counting_fail(self, error):
-            with res_lock:
-                resolutions[id(self)] = resolutions.get(id(self), 0) + 1
-            orig_fail(self, error)
-
-        monkeypatch.setattr(InferenceFuture, "_resolve", counting_resolve)
-        monkeypatch.setattr(InferenceFuture, "_fail", counting_fail)
+        monkeypatch.setattr(InferenceFuture, "_settle", counting_settle)
 
         srv = InferenceServer(max_batch_size=4, max_wait_ms=1.0)
         key = srv.register_model(compiled, soc)
