@@ -38,24 +38,26 @@ from repro.soc.digital import DigitalAccelerator
 
 
 class BigNpu(DigitalAccelerator):
-    """Component (1)+(3): capabilities and a 32x32 MAC-array cost model.
+    """Component (1)+(3): capabilities and a 32x32 MAC array.
 
     It reuses the digital core's coarse-grained instruction set (so the
     functional model is inherited) but quadruples the array, keeping
-    the same weight memory.
+    the same weight memory. The plugin only says *what happens* — how
+    many one-cycle PE passes a tile takes — and the shared price table
+    (``repro.runtime.cost``) turns those counts into cycles.
     """
 
     name = "soc.bignpu"
     ARRAY = 32
 
-    def compute_cycles(self, spec, c_t, k_t, oy_t, ox_t):
+    def passes(self, spec, c_t, k_t, oy_t, ox_t):
         # same mapping as the 16x16 core but with 32-wide rows/columns
         if spec.kind == "conv2d":
             ix_t = min((ox_t - 1) * spec.strides[1] + spec.fx, spec.ix)
             return (k_t * oy_t * spec.fy * spec.fx
                     * math.ceil(c_t / self.ARRAY)
                     * math.ceil(ix_t / self.ARRAY))
-        return super().compute_cycles(spec, c_t, k_t, oy_t, ox_t)
+        return super().passes(spec, c_t, k_t, oy_t, ox_t)
 
 
 def prefer_bignpu(spec, accepted):

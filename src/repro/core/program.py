@@ -86,7 +86,7 @@ class DepthFirstChain:
     (``per_layer_patch_bytes``) instead of full feature maps. The
     executor runs it patch-wise in every ``exec_mode``; bit-exact vs.
     layer-by-layer execution, with cycles priced through
-    :func:`~repro.runtime.cost.accumulate_depthfirst_cost`.
+    :func:`~repro.runtime.cost.accumulate_accel_cost`.
     """
 
     start: int                        #: index of the first fused step

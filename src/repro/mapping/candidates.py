@@ -10,9 +10,10 @@ the same models the simulator charges at runtime:
   per-tile cycle model (:func:`~repro.runtime.cost.cost_layer`) and the
   per-kernel energy model (:func:`~repro.soc.energy.kernel_energy_pj`);
   an infeasible tiling disqualifies the candidate with its reason,
-* the CPU candidate — the fused-kernel cycle model the executor charges
-  for ``CpuKernelStep``s (:meth:`~repro.soc.cpu.CpuModel.kernel_cycles`
-  plus the runtime call overhead).
+* the CPU candidate — the fused-kernel event counts the executor
+  charges for ``CpuKernelStep``s
+  (:func:`~repro.soc.cpu.kernel_counts`), priced by
+  :func:`~repro.runtime.cost.price`.
 
 Because both paths reuse the runtime cost models verbatim, a mapping's
 modeled per-layer latency equals the executor's measured kernel cycles.
@@ -31,7 +32,8 @@ from ..dory.layer_spec import LayerSpec
 from ..dory.tiler import DoryTiler
 from ..errors import TilingError
 from ..ir import Composite, Graph
-from ..runtime.cost import cost_layer
+from ..runtime.cost import cost_layer, price
+from ..soc.cpu import kernel_counts
 from ..soc.energy import DEFAULT_ENERGY, EnergyParams, kernel_energy_pj
 from .rules import dispatchable_layers
 
@@ -71,8 +73,7 @@ class MappingSite:
 def cpu_candidate(comp: Composite, soc,
                   energy: EnergyParams = DEFAULT_ENERGY) -> CandidateCost:
     """Cost of running the composite body as one fused CPU kernel."""
-    cycles = (soc.cpu.kernel_cycles(comp.body)
-              + soc.params.runtime_call_overhead)
+    cycles = sum(price(kernel_counts(comp.body), soc.params).values())
     return CandidateCost(
         target="cpu", latency_cycles=cycles,
         energy_pj=cycles * energy.cpu_pj_per_cycle)

@@ -9,7 +9,8 @@ optimization problem over the whole network:
    (tilings solved through the :class:`~repro.core.cache.TilingCache`),
 2. inter-layer *transfer penalties* charge the DMA + layout-conversion
    cost of handing activations between cores
-   (:func:`~repro.soc.dma.cross_core_transfer_cycles`),
+   (:func:`~repro.soc.dma.cross_core_transfer_counts`, priced by
+   :func:`~repro.runtime.cost.price`),
 3. a search minimizes the selected objective over all assignments:
    exact dynamic programming when the layer-coupling graph is a linear
    chain, beam search for branching graphs (residual networks), with
@@ -46,7 +47,8 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import DispatchError
 from ..ir import Graph
 from ..patterns import default_specs, partition
-from ..soc.dma import cross_core_transfer_cycles, cross_core_transfer_legs
+from ..runtime.cost import price
+from ..soc.dma import cross_core_transfer_counts
 from ..soc.energy import DEFAULT_ENERGY, EnergyParams
 from ..transforms import (
     Pass, PassManager, canonicalize, eliminate_dead_code, fold_constants,
@@ -116,13 +118,13 @@ def transfer_penalty(src_target: str, dst_target: str, nbytes: int,
                      params, energy: EnergyParams = DEFAULT_ENERGY
                      ) -> Tuple[float, float]:
     """(cycles, pJ) of moving one activation tensor between targets."""
-    cycles = cross_core_transfer_cycles(nbytes, src_target, dst_target, params)
-    if cycles == 0.0:
+    counts = cross_core_transfer_counts(nbytes, src_target, dst_target)
+    if not counts:
         return 0.0, 0.0
-    legs = cross_core_transfer_legs(src_target, dst_target)
-    pj = (legs * nbytes * energy.dma_pj_per_byte
-          + nbytes * params.cpu_cycles_per_elem_copy * energy.host_pj_per_cycle)
-    return cycles, pj
+    cycles = price(counts, params)
+    pj = (counts["act_byte"] * energy.dma_pj_per_byte
+          + cycles["cpu_compute"] * energy.host_pj_per_cycle)
+    return cycles["act_dma"] + cycles["cpu_compute"], pj
 
 
 def build_edges(graph: Graph, sites: List[MappingSite]) -> List[TransferEdge]:
@@ -160,7 +162,7 @@ class MappingPlan:
     total_cycles: float = 0.0             #: modeled latency incl. transfers
     total_energy_pj: float = 0.0
     total_cost: float = 0.0               #: scalarized objective value
-    transfer_cycles: float = 0.0          #: transfer share of total_cycles
+    penalty_cycles: float = 0.0           #: transfer share of total_cycles
     baseline_assignment: List[str] = field(default_factory=list)
     baseline_cycles: float = 0.0          #: rules strategy, same objective
     baseline_energy_pj: float = 0.0
@@ -462,7 +464,7 @@ def analyze_mapping(pgraph: Graph, soc, config, cache=None,
         assignment=assignment,
         decisions=_decisions_for(sites, assignment, objective),
         total_cycles=cycles, total_energy_pj=pj, total_cost=cost,
-        transfer_cycles=transfer,
+        penalty_cycles=transfer,
         baseline_assignment=baseline, baseline_cycles=b_cycles,
         baseline_energy_pj=b_pj, baseline_cost=b_cost,
     )
@@ -502,7 +504,7 @@ def format_plan(plan: MappingPlan) -> str:
                  f" (weight={plan.objective.weight:.2f})  layers: {counts}")
     lines.append(
         f"modeled total : {plan.total_cycles:12.0f} cycles "
-        f"({plan.transfer_cycles:.0f} in transfers), "
+        f"({plan.penalty_cycles:.0f} in transfers), "
         f"{plan.total_energy_pj / 1e6:10.2f} uJ, cost {plan.total_cost:.0f}")
     lines.append(
         f"rules baseline: {plan.baseline_cycles:12.0f} cycles, "

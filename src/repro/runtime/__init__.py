@@ -1,8 +1,6 @@
 """Runtime: reference interpreter, numeric kernels, SoC executor."""
 
-from .cost import (
-    accumulate_accel_cost, accumulate_depthfirst_cost, cost_layer,
-)
+from .cost import accumulate_accel_cost, cost_layer
 from .executor import (
     EXEC_MODES, BatchExecutionResult, ExecutionResult, Executor,
     execute_chain_depth_first, execute_layer_fast, execute_layer_tiled,
@@ -15,8 +13,7 @@ from .validate import ValidationReport, validate_deployment
 
 __all__ = [
     "EXEC_MODES", "BatchExecutionResult", "ExecutionResult", "Executor",
-    "accumulate_accel_cost", "accumulate_depthfirst_cost",
-    "cost_layer",
+    "accumulate_accel_cost", "cost_layer",
     "execute_chain_depth_first", "execute_layer_fast", "execute_layer_tiled",
     "CompiledPlan", "compile_plan",
     "random_inputs", "random_inputs_batched",

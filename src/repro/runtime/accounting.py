@@ -9,8 +9,8 @@ inference of that pair, in any exec mode, returns the same
 :class:`ModelAccounting` object.
 
 This is the single place where the executor's modeled cycles and L2
-occupancy come from; the charges themselves live in
-:mod:`repro.runtime.cost` and :meth:`repro.soc.cpu.CpuModel.kernel_cycles`.
+occupancy come from; the steps' event counts are priced by
+:mod:`repro.runtime.cost`.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from typing import TYPE_CHECKING, Dict, Tuple
 
 from ..core.program import AccelStep, CompiledModel, CpuKernelStep
 from ..errors import SimulationError
+from ..soc.cpu import kernel_counts
 from ..soc.perf import PerfCounters
-from .cost import accumulate_accel_cost, accumulate_depthfirst_cost
+from .cost import accumulate_accel_cost, charge
 
 if TYPE_CHECKING:  # avoid a circular import at runtime
     from ..soc.platform import Platform
@@ -44,14 +45,14 @@ def account_model(model: CompiledModel, soc: "Platform") -> ModelAccounting:
     """The modeled cost of one inference of ``model`` on ``soc``.
 
     Memoized on the model, keyed by the identity of the platform
-    objects the cost model reads (params, CPU and accelerator models;
-    the memo holds them, so an id is never recycled): running the same
-    model on another platform object recomputes. Raises
+    objects the cost model reads (params and accelerator models; the
+    memo holds them, so an id is never recycled): running the same
+    model on a platform built from other objects recomputes. Raises
     :class:`~repro.errors.OutOfMemoryError` when the memory plan does
     not fit the platform's L2 (nothing is memoized then). Threads that
     race on the first use may each compute the (equal) accounting.
     """
-    key = (soc.params, soc.cpu, *soc.accelerators.values())
+    key = (soc.params, *soc.accelerators.values())
     memo = getattr(model, "_accounting", None)
     if (memo is not None and len(memo[0]) == len(key)
             and all(a is b for a, b in zip(memo[0], key))):
@@ -126,13 +127,9 @@ def _charge_steps(acct: ModelAccounting, model: CompiledModel,
         if isinstance(step, AccelStep):
             rec = acct.start_kernel(step.name, step.accel_target,
                                     macs=step.spec.macs())
-            accel = soc.accelerator(step.accel_target)
-            if idx in fused:
-                accumulate_depthfirst_cost(rec, accel, step.spec,
-                                           step.tiling, params, *fused[idx])
-            else:
-                accumulate_accel_cost(rec, accel, step.spec, step.tiling,
-                                      params)
+            accumulate_accel_cost(rec, soc.accelerator(step.accel_target),
+                                  step.spec, step.tiling, params,
+                                  *fused.get(idx, ()))
         elif idx in fused:
             raise SimulationError(
                 f"{step.name}: depth-first chain over a non-"
@@ -140,7 +137,6 @@ def _charge_steps(acct: ModelAccounting, model: CompiledModel,
         elif isinstance(step, CpuKernelStep):
             rec = acct.start_kernel(step.name, "cpu",
                                     macs=step.body.total_macs())
-            rec.add("cpu_compute", soc.cpu.kernel_cycles(step.body))
-            rec.add("runtime", params.runtime_call_overhead)
+            charge(rec, kernel_counts(step.body), params)
         else:
             raise SimulationError(f"unknown step {step!r}")

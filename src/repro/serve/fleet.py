@@ -76,6 +76,9 @@ __all__ = ["FleetConfig", "ServingFleet"]
 
 #: exit code a worker uses to report an out-of-memory death.
 OOM_EXIT_CODE = 42
+
+#: worker replies that blame the request, not the worker's health.
+CLIENT_ERROR_CODES = frozenset({"S-INPUT"})
 #: above ``FleetConfig.shed_watermark``, requests with a priority below
 #: this are shed.
 SHED_PRIORITY_FLOOR = 0
@@ -757,7 +760,11 @@ class ServingFleet:
                     self._finish(dep, req, settled, output=output)
                 else:
                     _, _, code, text, _ = msg
-                    dep.breaker.record_failure()
+                    if code in CLIENT_ERROR_CODES:
+                        # the worker answered; a half-open probe resolves
+                        dep.breaker.record_success()
+                    else:
+                        dep.breaker.record_failure()
                     error = self._error_from_code(dep, code, text,
                                                   req.request_id)
                     self._retry_or_fail(dep, req, error, now, settled)

@@ -8,9 +8,8 @@ used by the compiler, runtime, serving, and eval layers.
 
 from .params import DEFAULT_PARAMS, DianaParams, latency_ms
 from .memory import Allocation, MemoryRegion
-from .dma import contiguous_chunks, tile_transfer_cycles, transfer_cycles
+from .dma import contiguous_chunks, tile_transfer_counts
 from .perf import KernelRecord, PerfCounters
-from .cpu import CpuModel
 from .digital import DigitalAccelerator
 from .analog import AnalogAccelerator
 from .platform import Platform
@@ -26,9 +25,9 @@ from .energy import (
 __all__ = [
     "DEFAULT_PARAMS", "DianaParams", "latency_ms",
     "Allocation", "MemoryRegion",
-    "contiguous_chunks", "tile_transfer_cycles", "transfer_cycles",
+    "contiguous_chunks", "tile_transfer_counts",
     "KernelRecord", "PerfCounters",
-    "CpuModel", "DigitalAccelerator", "AnalogAccelerator",
+    "DigitalAccelerator", "AnalogAccelerator",
     "Platform",
     "DEFAULT_PLATFORM", "PlatformSpec", "get_platform", "get_platform_spec",
     "platform_names", "register_platform", "unregister_platform",

@@ -10,29 +10,29 @@ of 16 — partial blocks leave PE rows/columns idle.
 The model is split into:
 
 * capability checks (:meth:`DigitalAccelerator.supports`),
-* a cycle model (:meth:`compute_cycles`, :meth:`weight_load_cycles`),
-* a bit-exact functional kernel (:meth:`execute`) built on the shared
-  numpy kernels, so tiled accelerator execution can be verified against
-  the reference interpreter.
+* event counts (:meth:`layer_counts`, :meth:`passes`), priced by
+  :mod:`repro.runtime.cost`,
+* a bit-exact functional kernel (:meth:`execute`, shared with the
+  analog core by :class:`~repro.soc.accelerator.MacAccelerator`), so
+  tiled accelerator execution can be verified against the reference
+  interpreter.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import Dict, Sequence, Tuple
 
 from ..dory.layer_spec import LayerSpec
+from ..dory.tiling_types import Tile
 from ..errors import SimulationError
-from .. import numerics as K
-from .params import DianaParams
+from .accelerator import MacAccelerator
 
 TARGET = "soc.digital"
 
 
-class DigitalAccelerator:
-    """Cost + functional model of the 16x16 PE digital accelerator."""
+class DigitalAccelerator(MacAccelerator):
+    """Event-count + functional model of the 16x16 PE digital accelerator."""
 
     name = TARGET
     #: coarse-grained ops the hardware executes as one instruction.
@@ -41,9 +41,6 @@ class DigitalAccelerator:
     supported_weight_dtypes = ("int8",)
     #: activation precisions.
     supported_act_dtypes = ("int8", "int7")
-
-    def __init__(self, params: DianaParams):
-        self.params = params
 
     # -- capability -----------------------------------------------------------
 
@@ -68,23 +65,25 @@ class DigitalAccelerator:
             return False, "requant shift out of range"
         return True, ""
 
-    def fits_weight_memory(self, weight_tile_bytes: int) -> bool:
-        return weight_tile_bytes <= self.params.dig_weight_bytes
+    # -- event counts -------------------------------------------------------------
 
-    # -- cycle model ------------------------------------------------------------
+    #: the event one tile's busy time is counted in, by layer kind.
+    pass_events = {"conv2d": "pe_pass", "dense": "pe_pass",
+                   "dwconv2d": "dw_pass", "add": "simd_elem"}
 
-    def compute_cycles(self, spec: LayerSpec, c_t: int, k_t: int,
-                       oy_t: int, ox_t: int) -> float:
-        """PE-array busy cycles for one tile.
+    def passes(self, spec: LayerSpec, c_t: int, k_t: int,
+               oy_t: int, ox_t: int) -> int:
+        """Busy events of one tile (``pass_events[spec.kind]``).
 
-        Conv2D: each cycle the array consumes 16 input channels x 16
+        Conv2D: each PE pass consumes 16 input channels x 16
         feature-width positions, iterating over output channels, rows
         and filter taps:
         ``K_t * oy_t * fy * fx * ceil(C_t/16) * ceil(ix_t/16)``.
         FC: input channels x output channels are unrolled on the array:
         ``ceil(C_t/16) * ceil(K_t/16)``.
         Depthwise: only one PE row is used (paper Sec. IV-B, peak 3.75
-        MACs/cycle).
+        MACs/cycle), one pass per channel, row, tap and width block.
+        Add: one SIMD element per output element.
         """
         p = self.params
         if spec.kind == "conv2d":
@@ -94,93 +93,36 @@ class DigitalAccelerator:
                     * math.ceil(ix_t / p.dig_pe_cols))
         if spec.kind == "dwconv2d":
             ix_t = min((ox_t - 1) * spec.strides[1] + spec.fx, spec.ix)
-            row_cycles = (c_t * oy_t * spec.fy * spec.fx
-                          * math.ceil(ix_t / p.dig_pe_cols))
-            # single PE row at reduced effective rate (peak 3.75 MACs/cycle)
-            return row_cycles * (p.dig_pe_cols / p.dig_dw_macs_per_cycle)
+            return (c_t * oy_t * spec.fy * spec.fx
+                    * math.ceil(ix_t / p.dig_pe_cols))
         if spec.kind == "dense":
             return (math.ceil(c_t / p.dig_pe_rows)
                     * math.ceil(k_t / p.dig_pe_cols))
         if spec.kind == "add":
-            return c_t * oy_t * ox_t / p.dig_simd_elems_per_cycle
+            return c_t * oy_t * ox_t
         raise SimulationError(f"digital: unsupported kind {spec.kind}")
 
-    def weight_tile_bytes(self, spec: LayerSpec, c_t: int, k_t: int) -> int:
-        """int8 weight bytes for a (C_t, K_t) tile."""
-        if spec.kind == "add":
-            return 0
-        if spec.kind == "dense":
-            return k_t * c_t
-        if spec.kind == "dwconv2d":
-            return c_t * spec.fy * spec.fx
-        return k_t * c_t * spec.fy * spec.fx
+    def layer_counts(self, spec: LayerSpec,
+                     tiles: Sequence[Tile]) -> Dict[str, int]:
+        """Compute and weight events of one tiled layer.
 
-    def weight_load_cycles(self, weight_bytes: int) -> float:
-        """DMA cycles to fill the weight memory for one tile."""
-        if weight_bytes == 0:
-            return 0.0
-        p = self.params
-        return p.dma_setup_cycles + weight_bytes / p.dma_bytes_per_cycle
-
-    @property
-    def job_overhead(self) -> int:
-        return self.params.dig_job_overhead
-
-    # -- functional model ---------------------------------------------------------
-
-    def accumulate(self, spec: LayerSpec, x: np.ndarray, w: np.ndarray,
-                   padding: Optional[Tuple[int, int]] = None) -> np.ndarray:
-        """int32 partial sums of one (possibly C-partial) MAC tile.
-
-        When DORY tiles the input channels, the digital core writes raw
-        int32 accumulator tiles to L1; requantization happens only on
-        the last reduction block (:meth:`finalize`).
+        Every tile is one job (trigger + handshake + drain) of
+        :meth:`passes`. Weights stream: each change of the (K, C) block
+        refills the weight memory with one weight-path DMA job of the
+        block's int8 weights (FC layers have ``fy = fx = 1``).
         """
-        pad = spec.padding if padding is None else padding
-        if spec.kind in ("conv2d", "dwconv2d"):
-            groups = x.shape[1] if spec.is_depthwise else 1
-            return K.conv2d(x, w, spec.strides, pad, groups)
-        if spec.kind == "dense":
-            return K.dense(x, w)
-        raise SimulationError(f"digital: no MAC path for kind {spec.kind}")
-
-    def finalize(self, spec: LayerSpec, acc: np.ndarray,
-                 bias: Optional[np.ndarray]) -> np.ndarray:
-        """Bias-add + requantization of a completed accumulator tile."""
-        lo, hi = (-128, 127) if spec.out_dtype != "int7" else (-64, 63)
-        return K.bias_requantize(acc, bias, spec.shift, spec.relu, lo, hi)
-
-    def execute(self, spec: LayerSpec, x: np.ndarray,
-                w: Optional[np.ndarray], bias: Optional[np.ndarray],
-                y: Optional[np.ndarray] = None,
-                padding: Optional[Tuple[int, int]] = None) -> np.ndarray:
-        """Bit-exact result of one coarse-grained digital instruction.
-
-        ``x`` is the input tile (NCHW or NC), ``y`` the second operand
-        for ``add`` layers. ``padding`` overrides the spec padding (tile
-        interiors are not padded).
-
-        MAC layers keep the raw accumulator in its exact MAC dtype and
-        requantize through :func:`repro.numerics.requantize_acc` — the
-        int32 bounce only happens when exactness is not provable. Tiled
-        partial-sum execution (:meth:`accumulate`/:meth:`finalize`)
-        still materializes int32 L1 tiles, as the hardware does.
-        """
-        if spec.kind == "add":
-            if y is None:
-                raise SimulationError("add layer needs two operands")
-            return self.finalize(spec, K.add(x, y), bias)
-        pad = spec.padding if padding is None else padding
-        if spec.kind in ("conv2d", "dwconv2d"):
-            groups = x.shape[1] if spec.is_depthwise else 1
-            acc = K.conv2d_acc(x, w, spec.strides, pad, groups)
-            reduction = w.shape[1] * w.shape[2] * w.shape[3]
-        elif spec.kind == "dense":
-            acc = K.dense_acc(x, w)
-            reduction = x.shape[-1]
-        else:
-            raise SimulationError(f"digital: no MAC path for kind {spec.kind}")
-        lo, hi = (-128, 127) if spec.out_dtype != "int7" else (-64, 63)
-        # |int8 x int8| <= 2**14 per MAC: reduction << 14 bounds |acc|
-        return K.requantize_acc(acc, bias, spec.shift, spec.relu, lo, hi,
-                                acc_bound=reduction << 14)
+        busy = w_jobs = w_bytes = 0
+        block = None
+        for tile in tiles:
+            k_t, c_t = tile.k1 - tile.k0, tile.c1 - tile.c0
+            busy += self.passes(spec, c_t, k_t, tile.oy1 - tile.oy0,
+                                tile.ox1 - tile.ox0)
+            if (tile.k0, tile.c0) != block:
+                block = (tile.k0, tile.c0)
+                w_jobs += 1
+                w_bytes += ((c_t if spec.is_depthwise else k_t * c_t)
+                            * spec.fy * spec.fx)
+        counts = {self.pass_events[spec.kind]: busy, "dig_job": len(tiles)}
+        if spec.kind != "add":
+            counts.update(weight_job=w_jobs, weight_byte=w_bytes)
+        return counts

@@ -1,4 +1,4 @@
-"""DMA cost model for L2 <-> L1 / weight-memory transfers.
+"""DMA event counts for L2 <-> L1 / weight-memory transfers.
 
 DIANA moves activation tiles and weights with a uDMA engine programmed
 by the RISC-V host. A transfer of a sub-tensor is a sequence of 1D
@@ -7,13 +7,14 @@ narrower than the full tensor) cost extra per-chunk descriptor cycles.
 This is the mechanism behind the paper's Eq. (5) heuristic ("minimize
 non-contiguous input data transfers ... maximize the i_y dimension"):
 tiles that keep the innermost dimensions whole need fewer chunks.
+This module counts jobs, chunks and bytes; :mod:`repro.runtime.cost`
+prices them.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .params import DianaParams
+import math
+from typing import Dict, Sequence, Tuple
 
 
 def contiguous_chunks(tensor_shape: Sequence[int],
@@ -28,78 +29,45 @@ def contiguous_chunks(tensor_shape: Sequence[int],
     """
     if len(tensor_shape) != len(tile_shape):
         raise ValueError("tensor/tile rank mismatch")
-    chunks = 1
-    merged = True
-    for full, tile in zip(reversed(list(tensor_shape)), reversed(list(tile_shape))):
+    chunks, merged = 1, True
+    for full, tile in zip(reversed(tensor_shape), reversed(tile_shape)):
         if tile > full:
             raise ValueError(f"tile dim {tile} exceeds tensor dim {full}")
-        if merged:
-            if tile == full:
-                continue
-            merged = False
-            continue  # this (partial) dim starts the burst; outer dims multiply
-        chunks *= tile
+        if not merged:  # outer dims multiply the bursts
+            chunks *= tile
+        merged = merged and tile == full
     return chunks
 
 
-def transfer_cycles(num_bytes: int, chunks: int, params: DianaParams,
-                    bandwidth: float = None) -> float:
-    """Cycles for one DMA job of ``num_bytes`` in ``chunks`` bursts.
+def tile_transfer_counts(tensor_shape: Sequence[int],
+                         tile_shape: Sequence[int]) -> Tuple[int, int, int]:
+    """``(jobs, chunks, bytes)`` of one DMA of an int8 activation tile.
 
-    ``bandwidth`` defaults to the (narrow) weight-path bandwidth;
-    activation transfers pass ``params.dma_act_bytes_per_cycle``.
+    The tile moves between L2 and the shared L1 in one job of
+    :func:`contiguous_chunks` bursts; an empty tile (a slab that is all
+    zero border) moves nothing and programs no job.
     """
-    if num_bytes <= 0:
-        return 0.0
-    if bandwidth is None:
-        bandwidth = params.dma_bytes_per_cycle
-    return (params.dma_setup_cycles
-            + chunks * params.dma_chunk_cycles
-            + num_bytes / bandwidth)
+    num = math.prod(tile_shape)
+    if num <= 0:
+        return 0, 0, 0
+    return 1, contiguous_chunks(tensor_shape, tile_shape), num
 
 
-def cross_core_transfer_legs(src: str, dst: str) -> int:
-    """DMA legs of one cross-core activation hand-off (0 = free).
+def cross_core_transfer_counts(num_bytes: int, src: str,
+                               dst: str) -> Dict[str, int]:
+    """Events of handing one activation tensor from ``src`` to ``dst``.
 
-    * same core: 0 — the producer already left the tensor where the
-      consumer wants it,
-    * CPU <-> accelerator: 1 — the CPU reads/writes L2 directly,
-    * accelerator <-> accelerator: 2 — drain + refill through L2.
+    The mapping engine charges them as the inter-layer penalty of a
+    heterogeneous assignment. A layer boundary that crosses cores
+    stages the tensor through L2 in DMA jobs nothing hides — one leg
+    between the CPU (which reads and writes L2 directly) and an
+    accelerator, two (drain + refill) between accelerators — plus a
+    per-element layout repacking pass on the host (the digital core
+    consumes C-y-x activations, the analog macro and the CPU kernels
+    expect their own layouts). A same-core hand-off is free.
     """
-    if src == dst:
-        return 0
-    return 1 if "cpu" in (src, dst) else 2
-
-
-def cross_core_transfer_cycles(num_bytes: int, src: str, dst: str,
-                               params: DianaParams) -> float:
-    """Cycles to hand one activation tensor from ``src`` to ``dst``.
-
-    Used by the mapping engine as the inter-layer penalty of a
-    heterogeneous assignment: a layer boundary that crosses cores pays
-    a layout conversion (the digital core consumes C-y-x activations,
-    the analog macro and the CPU kernels expect their own layouts) plus
-    the uDMA traffic of staging the tensor through L2 — one leg per
-    :func:`cross_core_transfer_legs`, plus a per-element repacking pass
-    on the host.
-    """
-    legs = cross_core_transfer_legs(src, dst)
-    if legs == 0 or num_bytes <= 0:
-        return 0.0
-    dma = legs * (params.dma_setup_cycles
-                  + num_bytes / params.dma_act_bytes_per_cycle)
-    repack = num_bytes * params.cpu_cycles_per_elem_copy
-    return dma + repack
-
-
-def tile_transfer_cycles(tensor_shape: Sequence[int],
-                         tile_shape: Sequence[int],
-                         elem_bytes: float,
-                         params: DianaParams) -> float:
-    """Cycles to DMA one activation tile between L2 and the shared L1."""
-    num = 1
-    for d in tile_shape:
-        num *= d
-    chunks = contiguous_chunks(tensor_shape, tile_shape)
-    return transfer_cycles(int(num * elem_bytes), chunks, params,
-                           bandwidth=params.dma_act_bytes_per_cycle)
+    if src == dst or num_bytes <= 0:
+        return {}
+    legs = 1 if "cpu" in (src, dst) else 2
+    return {"act_job": legs, "act_byte": legs * num_bytes,
+            "cpu_elem_copy": num_bytes}

@@ -58,8 +58,7 @@ def kernel_energy_pj(rec: KernelRecord, soc_params: DianaParams,
         total += rec.macs * energy.analog_pj_per_mac
     else:
         total += rec.macs * energy.digital_pj_per_mac
-    compute_cycles = rec.cycles.get("accel_compute", 0.0)
-    total += compute_cycles * energy.accel_pj_per_cycle
+    total += rec.cycles.get("accel_compute", 0.0) * energy.accel_pj_per_cycle
     dma_cycles = (rec.cycles.get("act_dma", 0.0)
                   + rec.cycles.get("weight_dma", 0.0))
     total += dma_cycles * soc_params.dma_bytes_per_cycle * energy.dma_pj_per_byte

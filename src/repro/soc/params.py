@@ -21,7 +21,24 @@ Sources for the architectural facts (paper Sec. III-C / Fig. 3):
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
+
+from ..errors import PlatformError
+
+#: throughputs (bytes, MACs or elements per cycle): finite and > 0.
+RATE_FIELDS = ("dma_bytes_per_cycle", "dma_act_bytes_per_cycle",
+               "dig_dw_macs_per_cycle", "dig_simd_elems_per_cycle")
+#: cycles per event (overheads and per-unit costs): finite and >= 0.
+CYCLE_FIELDS = (
+    "dma_setup_cycles", "dma_chunk_cycles", "dig_job_overhead",
+    "ana_job_overhead", "ana_row_write_cycles", "ana_pixel_cycles",
+    "cpu_cycles_per_mac_conv", "cpu_cycles_per_mac_dwconv",
+    "cpu_cycles_per_mac_dense", "cpu_cycles_per_elem_simple",
+    "cpu_cycles_per_elem_pool", "cpu_cycles_per_elem_softmax",
+    "cpu_cycles_per_elem_copy", "runtime_call_overhead",
+    "tile_loop_overhead")
 
 
 @dataclass(frozen=True)
@@ -106,6 +123,19 @@ class DianaParams:
     size_accel_driver: dict = field(default_factory=lambda: {
         "soc.digital": 1600, "soc.analog": 3000,
     })
+
+    def __post_init__(self):
+        """Reject, naming the field, constants the cost model cannot
+        use: rates, the clock and memory sizes must be finite and > 0,
+        cycle constants finite and >= 0."""
+        for name in (RATE_FIELDS + CYCLE_FIELDS
+                     + ("clock_hz", "l1_bytes", "l2_bytes")):
+            value, cycles = getattr(self, name), name in CYCLE_FIELDS
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)
+                    and (value >= 0 if cycles else value > 0)):
+                raise PlatformError(
+                    f"DianaParams.{name} must be a finite number "
+                    f"{'>= 0' if cycles else '> 0'}, got {value!r}")
 
     def with_overrides(self, **kwargs) -> "DianaParams":
         """A copy with selected constants replaced (for ablations)."""

@@ -20,13 +20,18 @@ CALL_CATEGORIES = PEAK_CATEGORIES + ("act_dma", "runtime", "tile_loop")
 
 @dataclass
 class KernelRecord:
-    """Cycle breakdown of one executed kernel call."""
+    """Cycle breakdown of one executed kernel call.
+
+    ``counts`` are the modeled events of the call (see
+    :mod:`repro.runtime.cost`); ``cycles`` is their price per category.
+    """
 
     name: str
     target: str
     cycles: Dict[str, float] = field(default_factory=dict)
     macs: int = 0
     num_tiles: int = 1
+    counts: Dict[str, int] = field(default_factory=dict)
 
     def add(self, category: str, cycles: float):
         self.cycles[category] = self.cycles.get(category, 0.0) + cycles

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from ..errors import DispatchError
-from .cpu import CpuModel
 from .energy import DEFAULT_ENERGY, EnergyParams
 from .memory import MemoryRegion
 from .params import DEFAULT_PARAMS, DianaParams
@@ -38,7 +37,6 @@ class Platform:
             the native build-cache key for non-default platforms.
         params: all architecture/calibration constants (memory
             geometry, clocks, DMA and kernel throughput).
-        cpu: the host CPU model (always present).
         accelerators: name -> accelerator model. The dict is open: the
             registry populates it from the platform spec's factories,
             so new platforms can carry any accelerator set.
@@ -55,7 +53,6 @@ class Platform:
                  prefer: Optional[Callable] = None):
         self.name = name
         self.params = params or DEFAULT_PARAMS
-        self.cpu = CpuModel(self.params)
         self.accelerators: Dict[str, object] = dict(accelerators or {})
         self.energy = energy
         self.prefer = prefer
@@ -72,10 +69,6 @@ class Platform:
     def fresh_l2(self) -> MemoryRegion:
         """A new empty L2 region (shared main memory)."""
         return MemoryRegion("L2", self.params.l2_bytes)
-
-    def fresh_l1(self) -> MemoryRegion:
-        """A new empty L1 region (shared accelerator activation memory)."""
-        return MemoryRegion("L1", self.params.l1_bytes)
 
     def __repr__(self):
         return (f"{type(self).__name__}(name={self.name!r}, "

@@ -70,7 +70,8 @@ class PlatformSpec:
         accelerators: accelerator name -> factory. Each factory is
             called with the resolved ``params`` and must return an
             accelerator model exposing ``name``, ``supports(spec)``,
-            the cycle-model hooks and (for simulation) ``execute``.
+            the event-count hook ``layer_counts(spec, tiles)`` and
+            (for simulation) ``execute``.
             Insertion order is preserved on the platform object.
         energy: the platform's energy constants.
         prefer: optional selection heuristic ``prefer(spec, accepted)
@@ -100,9 +101,9 @@ def validate_spec(spec: PlatformSpec) -> None:
     """Raise :class:`~repro.errors.PlatformError` on an invalid spec.
 
     Validation runs at registration time so a bad plugin fails at
-    import, not mid-compile: name syntax, calibration-constant sanity
-    (positive clock and memory geometry), callable factories with
-    well-formed accelerator names, and a callable ``prefer`` hook.
+    import, not mid-compile: name syntax, callable factories with
+    well-formed accelerator names, and a callable ``prefer`` hook
+    (``DianaParams`` checks its own constants when constructed).
     """
     if not isinstance(spec, PlatformSpec):
         raise PlatformError(
@@ -111,13 +112,6 @@ def validate_spec(spec: PlatformSpec) -> None:
         raise PlatformError(
             f"invalid platform name {spec.name!r}: must be lowercase "
             "[a-z0-9._-] and start with a letter or digit")
-    params = spec.params
-    for attr in ("clock_hz", "l1_bytes", "l2_bytes"):
-        value = getattr(params, attr, None)
-        if not isinstance(value, (int, float)) or value <= 0:
-            raise PlatformError(
-                f"platform {spec.name!r}: params.{attr} must be a "
-                f"positive number, got {value!r}")
     if not isinstance(spec.accelerators, Mapping):
         raise PlatformError(
             f"platform {spec.name!r}: accelerators must map name -> "

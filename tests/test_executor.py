@@ -22,6 +22,7 @@ from repro.runtime import (
     Executor, execute_layer_fast, execute_layer_tiled, random_inputs,
     run_reference,
 )
+from repro.runtime.cost import price
 from repro.soc import DianaParams, get_platform
 from helpers import assert_compiled_matches_reference, build_small_cnn
 
@@ -308,5 +309,7 @@ class TestAnalogExecution:
         assert rec.num_tiles > 1
         accel = soc.accelerator("soc.analog")
         spec = model.steps[0].spec
-        expected = accel.weight_load_cycles(spec, 16, 16)
+        rows = accel.mapped_rows(spec, 16) * accel.col_blocks(16)
+        assert rec.counts["macro_row"] == rows
+        expected = price({"macro_row": rows}, soc.params)["weight_dma"]
         assert rec.cycles["weight_dma"] == pytest.approx(expected)

@@ -457,6 +457,22 @@ class TestCircuitBreakerIntegration:
             ]
 
 
+    def test_client_input_errors_leave_the_breaker_closed(self, artifact):
+        """Malformed requests are the client's fault: each fails with
+        S-INPUT, the breaker stays closed and valid traffic flows."""
+        path, feeds, golden = artifact
+        with ServingFleet(_config(breaker_failures=3)) as fleet:
+            key = fleet.add_deployment(path, key="m")
+            assert fleet.wait_ready(key, timeout=60)
+            for _ in range(5):
+                with pytest.raises(ServingError) as info:
+                    fleet.infer(key, {"bogus": [1]}, timeout=60)
+                assert info.value.code == "S-INPUT"
+            assert fleet.stats()[key]["breaker_state"] == BREAKER_CLOSED
+            assert np.array_equal(fleet.infer(key, feeds, timeout=60),
+                                  golden)
+
+
 class TestArtifactCorruption:
     def test_corrupt_artifact_fails_terminally(self, artifact, tmp_path):
         """Workers hit the load_artifact(verify=True) gate on a corrupt
@@ -574,7 +590,7 @@ class TestChaosMix:
         hangs, OOM deaths, exec faults and queue-full rejections, with
         concurrent closed-loop clients, every accepted request either
         completes or fails with a typed serving error — zero lost,
-        zero double-resolved (FleetFuture asserts single settlement)."""
+        zero double-resolved (InferenceFuture asserts single settlement)."""
         from repro.eval.loadgen import run_load
 
         path, feeds, _ = artifact

@@ -5,12 +5,15 @@ import pytest
 
 from repro import numerics as K
 from repro.dory import make_conv_spec, make_dense_spec
+from repro.dory.tiling_types import TileConfig, tiles_of
 from repro.errors import OutOfMemoryError, SimulationError
 from repro.ir import GraphBuilder
+from repro.runtime.cost import price
+from repro.soc.cpu import kernel_counts
 from repro.soc import (
     AnalogAccelerator, DEFAULT_PARAMS, DianaParams, DigitalAccelerator,
     MemoryRegion, contiguous_chunks, get_platform, latency_ms,
-    tile_transfer_cycles, transfer_cycles,
+    tile_transfer_counts,
 )
 
 
@@ -24,28 +27,40 @@ def analog():
     return AnalogAccelerator(DEFAULT_PARAMS)
 
 
+def busy_cycles(accel, spec, c_t, k_t, oy_t, ox_t):
+    """Priced busy time of one tile (no job overhead)."""
+    counts = {accel.pass_events[spec.kind]:
+              accel.passes(spec, c_t, k_t, oy_t, ox_t)}
+    return price(counts, DEFAULT_PARAMS)["accel_compute"]
+
+
+def cycles(counts):
+    """Total priced cycles of some event counts."""
+    return sum(price(counts, DEFAULT_PARAMS).values())
+
+
 class TestDigitalCycles:
     def test_conv_peak_256_macs_per_cycle(self, digital):
         # pointwise conv, C and ox multiples of 16 -> full PE array
         spec = make_conv_spec("pw", 32, 32, 16, 16, fy=1, fx=1)
-        cycles = digital.compute_cycles(spec, 32, 32, 16, 16)
-        assert spec.macs() / cycles == pytest.approx(256.0)
+        busy = busy_cycles(digital, spec, 32, 32, 16, 16)
+        assert spec.macs() / busy == pytest.approx(256.0)
 
     def test_conv_partial_channels_waste_rows(self, digital):
         spec = make_conv_spec("c", 3, 16, 16, 16, fy=1, fx=1)
-        cycles = digital.compute_cycles(spec, 3, 16, 16, 16)
-        assert spec.macs() / cycles == pytest.approx(256.0 * 3 / 16)
+        busy = busy_cycles(digital, spec, 3, 16, 16, 16)
+        assert spec.macs() / busy == pytest.approx(256.0 * 3 / 16)
 
     def test_dw_peak_throughput(self, digital):
         # paper Sec. IV-B: depthwise peak 3.75 MACs/cycle
         spec = make_conv_spec("dw", 64, 64, 16, 16, padding=(1, 1),
                               depthwise=True)
-        cycles = digital.compute_cycles(spec, 64, 64, 16, 16)
-        assert spec.macs() / cycles == pytest.approx(3.75)
+        busy = busy_cycles(digital, spec, 64, 64, 16, 16)
+        assert spec.macs() / busy == pytest.approx(3.75)
 
     def test_fc_cycles(self, digital):
         spec = make_dense_spec("fc", 64, 32)
-        assert digital.compute_cycles(spec, 64, 32, 1, 1) == 4 * 2
+        assert busy_cycles(digital, spec, 64, 32, 1, 1) == 4 * 2
 
     def test_supports_rules(self, digital):
         ok, _ = digital.supports(make_conv_spec("c", 8, 8, 8, 8, padding=(1, 1)))
@@ -61,9 +76,11 @@ class TestDigitalCycles:
 
     def test_weight_tile_bytes(self, digital):
         spec = make_conv_spec("c", 16, 32, 8, 8, padding=(1, 1))
-        assert digital.weight_tile_bytes(spec, 16, 32) == 32 * 16 * 9
+        tiles = list(tiles_of(spec, TileConfig(16, 32, 8, 8)))
+        assert digital.layer_counts(spec, tiles)["weight_byte"] == 32 * 16 * 9
         dw = make_conv_spec("dw", 16, 16, 8, 8, padding=(1, 1), depthwise=True)
-        assert digital.weight_tile_bytes(dw, 16, 16) == 16 * 9
+        tiles = list(tiles_of(dw, TileConfig(16, 16, 8, 8)))
+        assert digital.layer_counts(dw, tiles)["weight_byte"] == 16 * 9
 
 
 class TestDigitalFunctional:
@@ -181,17 +198,19 @@ class TestDma:
             contiguous_chunks((4, 4), (8, 4))
 
     def test_transfer_cycles_scale_with_bytes(self):
-        a = transfer_cycles(1024, 1, DEFAULT_PARAMS)
-        b = transfer_cycles(2048, 1, DEFAULT_PARAMS)
+        a = cycles({"weight_job": 1, "weight_byte": 1024})
+        b = cycles({"weight_job": 1, "weight_byte": 2048})
         assert b > a
 
     def test_zero_bytes_free(self):
-        assert transfer_cycles(0, 1, DEFAULT_PARAMS) == 0.0
+        assert tile_transfer_counts((16, 16, 16), (0, 16, 16)) == (0, 0, 0)
 
     def test_activation_bandwidth_faster_than_weight(self):
-        act = tile_transfer_cycles((16, 16, 16), (16, 16, 16), 1.0,
-                                   DEFAULT_PARAMS)
-        w = transfer_cycles(16 * 16 * 16, 1, DEFAULT_PARAMS)
+        jobs, chunks, nbytes = tile_transfer_counts((16, 16, 16),
+                                                    (16, 16, 16))
+        act = cycles({"act_job": jobs, "act_chunk": chunks,
+                      "act_byte": nbytes})
+        w = cycles({"weight_job": 1, "weight_byte": 16 * 16 * 16})
         assert act < w
 
 
@@ -232,9 +251,9 @@ class TestCpuModel:
         x = b.input("x", (1, 16, 16, 16), "int8")
         g = b.finish(b.conv2d_requant(x, 16, kernel=3, padding=(1, 1)))
         soc = get_platform("diana")
-        cycles = soc.cpu.kernel_cycles(g)
+        busy = price(kernel_counts(g), soc.params)["cpu_compute"]
         macs = g.total_macs()
-        assert cycles > macs * DEFAULT_PARAMS.cpu_cycles_per_mac_conv
+        assert busy > macs * DEFAULT_PARAMS.cpu_cycles_per_mac_conv
 
     def test_dwconv_slower_per_mac(self):
         soc = get_platform("diana")
@@ -244,8 +263,10 @@ class TestCpuModel:
         b2 = GraphBuilder(seed=0)
         x2 = b2.input("x", (1, 32, 16, 16), "int8")
         dw = b2.finish(b2.dwconv2d_requant(x2, kernel=3, padding=(1, 1)))
-        conv_rate = conv.total_macs() / soc.cpu.kernel_cycles(conv)
-        dw_rate = dw.total_macs() / soc.cpu.kernel_cycles(dw)
+        conv_rate = conv.total_macs() / price(
+            kernel_counts(conv), soc.params)["cpu_compute"]
+        dw_rate = dw.total_macs() / price(
+            kernel_counts(dw), soc.params)["cpu_compute"]
         assert dw_rate < conv_rate
 
 
