@@ -13,7 +13,7 @@ Run:  python examples/analog_noise_study.py
 
 import numpy as np
 
-from repro.dory import make_conv_spec
+from repro.dory import macro_rows, make_conv_spec
 from repro.eval.tables import format_table
 from repro.soc import AnalogAccelerator, DEFAULT_PARAMS
 
@@ -48,7 +48,7 @@ def layer_study():
         rows,
         title="Analog noise study — 64ch 3x3 ternary conv "
               f"({spec.macs() / 1e6:.2f} MMACs, rows="
-              f"{accel.mapped_rows(spec, 64)})"))
+              f"{macro_rows(spec, 64)})"))
     print("\nnoise is injected on the int32 accumulator, scaled by "
           "sqrt(mapped rows);\nthe requantization right-shift absorbs "
           "small perturbations, which is why\nlow-sigma rows are nearly "

@@ -1,9 +1,7 @@
 """Baselines the paper compares against."""
 
-from .naive_tiling import HeuristicComparison, compare_heuristics, solve_naive
 from .tvm_cpu import compile_tvm_cpu, cpu_only_soc
 
 __all__ = [
-    "HeuristicComparison", "compare_heuristics", "solve_naive",
     "compile_tvm_cpu", "cpu_only_soc",
 ]

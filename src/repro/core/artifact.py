@@ -16,7 +16,8 @@ transparently:
   certain operators"), but not deduplicated.
 * **weights**: int8 raw for CPU/digital layers; 2-bit-packed ternary
   with IMC-macro row padding for analog layers (the padding is why some
-  ternary networks have *larger* binaries, per Sec. IV-C).
+  ternary networks have *larger* binaries, per Sec. IV-C). Accelerator
+  weight bytes come from :func:`repro.dory.weights.l2_weight_bytes`.
 
 This reproduces the direction of every Table I size delta; absolute
 values are within ~15% (see EXPERIMENTS.md).
@@ -27,8 +28,8 @@ from __future__ import annotations
 from typing import List, Set, Tuple
 
 from ..codegen.cpu import classify_body, kernel_signature
+from ..dory.weights import l2_weight_bytes
 from ..ir import Constant
-from ..soc.analog import AnalogAccelerator
 from ..soc.params import DianaParams
 from .program import AccelStep, CpuKernelStep, SizeBreakdown, Step
 
@@ -49,7 +50,6 @@ def compute_size(steps: List[Step], params: DianaParams,
                     else params.size_tvm_runtime)
 
     seen_signatures: Set[Tuple] = set()
-    analog = AnalogAccelerator(params)
 
     for step in steps:
         if isinstance(step, CpuKernelStep):
@@ -63,13 +63,7 @@ def compute_size(steps: List[Step], params: DianaParams,
             size.accel_drivers += params.size_accel_driver.get(
                 step.accel_target, 1500)
             spec = step.spec
-            if step.accel_target == "soc.analog":
-                size.weights += analog.weight_storage_bytes(spec)
-                if spec.bias is not None:
-                    size.weights += spec.bias.nbytes
-            else:
-                if spec.weight is not None:
-                    size.weights += spec.weight.size  # int8: 1 B/elem
-                if spec.bias is not None:
-                    size.weights += spec.bias.nbytes
+            size.weights += l2_weight_bytes(spec, step.accel_target, params)
+            if spec.bias is not None:
+                size.weights += spec.bias.nbytes
     return size

@@ -11,9 +11,7 @@ from .layer_spec import (
 from .memory_plan import MemoryPlan, TensorLife, lifetimes_from_steps, plan_memory
 from .tiler import DoryTiler
 from .weights import (
-    AnalogWeightImage, DigitalWeightImage, layout_analog_weights,
-    layout_digital_weights, pack_ternary, restore_analog_weights,
-    restore_digital_weights, unpack_ternary, weight_image_for,
+    fits_weight_memory, l1_weight_bytes, l2_weight_bytes, macro_rows,
 )
 from .tiling_types import Tile, TileConfig, TilingSolution, tiles_of
 
@@ -23,7 +21,5 @@ __all__ = [
     "LayerSpec", "make_conv_spec", "make_dense_spec", "spec_from_composite",
     "MemoryPlan", "TensorLife", "lifetimes_from_steps", "plan_memory",
     "DoryTiler", "Tile", "TileConfig", "TilingSolution", "tiles_of",
-    "AnalogWeightImage", "DigitalWeightImage", "layout_analog_weights",
-    "layout_digital_weights", "pack_ternary", "restore_analog_weights",
-    "restore_digital_weights", "unpack_ternary", "weight_image_for",
+    "fits_weight_memory", "l1_weight_bytes", "l2_weight_bytes", "macro_rows",
 ]

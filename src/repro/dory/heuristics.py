@@ -30,6 +30,7 @@ import numpy as np
 
 from .layer_spec import LayerSpec
 from .tiling_types import TileConfig
+from .weights import macro_rows
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,8 @@ def _h_dma(spec: LayerSpec, cfg: TileConfig) -> float:
 
 def _h_analog_unroll(spec: LayerSpec, cfg: TileConfig) -> float:
     """Analog: "spatially unroll C and K as much as possible"."""
-    rows = cfg.c_t * spec.fy * spec.fx if spec.kind != "dense" else cfg.c_t
-    cols = cfg.k_t
-    return np.minimum(rows / 1152.0, 1.0) * np.minimum(cols / 512.0, 1.0)
+    return (np.minimum(macro_rows(spec, cfg.c_t) / 1152.0, 1.0)
+            * np.minimum(cfg.k_t / 512.0, 1.0))
 
 
 #: default betas: DORY's alpha/beta "control the balance between

@@ -36,6 +36,7 @@ from ..soc.params import DianaParams
 from .heuristics import Heuristic
 from .layer_spec import LayerSpec
 from .tiling_types import TileConfig, TilingSolution
+from .weights import fits_weight_memory, l1_weight_bytes
 
 
 def _candidates(limit: int, include_all_up_to: int = 0) -> np.ndarray:
@@ -73,26 +74,19 @@ def _l1_bytes(spec: LayerSpec, cfg: TileConfig, target: str,
     if spec.kind == "dense":
         in_b = cfg.c_t
         out_b = cfg.k_t
-        w_b = cfg.k_t * cfg.c_t
     elif spec.kind == "add":
         in_b = 2 * cfg.c_t * cfg.oy_t * cfg.ox_t
         out_b = cfg.c_t * cfg.oy_t * cfg.ox_t
-        w_b = 0
     elif spec.kind == "dwconv2d":
         in_b = cfg.c_t * iy_t * ix_t
         out_b = cfg.c_t * cfg.oy_t * cfg.ox_t
-        w_b = cfg.c_t * spec.fy * spec.fx
     else:  # conv2d
         in_b = cfg.c_t * iy_t * ix_t
         # a C-tiled conv accumulates int32 partial sums in L1
         out_elem = 1 if payload_only else np.where(
             cfg.c_t < spec.in_channels, 4, 1)
         out_b = cfg.k_t * cfg.oy_t * cfg.ox_t * out_elem
-        w_b = cfg.k_t * cfg.c_t * spec.fy * spec.fx
-    if target == "soc.analog":
-        # ternary weights live inside the IMC macro, not in L1
-        w_b = 0
-    return in_b, out_b, w_b
+    return in_b, out_b, l1_weight_bytes(spec, cfg.c_t, cfg.k_t, target)
 
 
 #: grid cells (channel pairs x oy_t values) priced per NumPy pass: one
@@ -147,10 +141,8 @@ class DoryTiler:
     def _feasible(self, spec: LayerSpec, cfg: TileConfig):
         """Eq. 2 plus the digital weight-memory capacity."""
         in_b, out_b, w_b = _l1_bytes(spec, cfg, self.target)
-        ok = in_b + out_b + w_b <= self.l1_budget
-        if self.target == "soc.digital":
-            ok = ok & (w_b <= self.params.dig_weight_bytes)
-        return ok
+        return ((in_b + out_b + w_b <= self.l1_budget)
+                & fits_weight_memory(w_b, self.target, self.params))
 
     def _objective(self, spec: LayerSpec, cfg: TileConfig):
         in_b, out_b, w_b = _l1_bytes(spec, cfg, self.target,

@@ -1,194 +1,79 @@
-"""Weight storage layouts and packing.
+"""How many bytes a layer's weights take: the one owner of every rule.
 
 DORY "stores the weights in the SoC's global memory (L2) in the most
-optimal data layout (i.e., to avoid CPU data-marshaling overheads)"
-(paper Sec. III-B). This module implements those layouts concretely:
+optimal data layout" (paper Sec. III-B), and analog layers pad L2 "with
+zeros to fill a part of the large IMC macro" (Sec. IV-C). Those layout
+decisions set Table I's weight bytes and the weight-DMA stream every
+modeled cycle pays for, so each is written here once:
 
-* **digital core** — weights blocked for the 16x16 PE array: the
-  K / C dimensions are split into 16-wide blocks so each weight-memory
-  fill is one contiguous DMA burst per (K-block, C-block) tile,
-* **analog core** — ternary weights packed 2 bits each, rows
-  (C*fy*fx) zero-padded to the macro granularity, column-major per
-  output channel so one macro column programs sequentially,
-* ternary pack/unpack primitives (4 weights per byte).
+* (a) :func:`l1_weight_bytes` — one L1 weight tile (the tiler's Eq. 2
+  term, the verifier's re-derivation, the digital core's weight DMA),
+* (b) :func:`macro_rows` — the analog macro rows a reduction slice
+  occupies (its L2 padding lives in :func:`l2_weight_bytes`),
+* (c) :func:`l2_weight_bytes` — the layer's weights as stored in L2
+  (the binary-size model's weight term),
+* (d) :func:`fits_weight_memory` — the digital core's weight-memory
+  capacity (the tiler's feasibility and V-PLAN-007).
 
-The runtime simulator computes with the unpacked arrays; these
-functions define the *bytes that land in L2* — the quantity the binary
-size model accounts — and are round-trip tested so the layouts are
-genuinely invertible.
+Tile arguments may be ints or int64 NumPy columns; the rules branch on
+the layer, never on tile values, so a result broadcasts like its inputs.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Tuple
-
-import numpy as np
-
-from ..errors import CodegenError
 from ..soc.params import DianaParams
 from .layer_spec import LayerSpec
 
-
-# ---------------------------------------------------------------------------
-# ternary packing: {-1, 0, +1} -> 2 bits each, four per byte
-# ---------------------------------------------------------------------------
-
-_TERNARY_CODES = {-1: 0b10, 0: 0b00, 1: 0b01}
-_TERNARY_VALUES = np.array([0, 1, -1, 0], dtype=np.int8)  # code -> value
+_ANALOG = "soc.analog"
+_DIGITAL = "soc.digital"
 
 
-def pack_ternary(values: np.ndarray) -> np.ndarray:
-    """Pack a flat array of {-1, 0, +1} into 2-bit codes, 4 per byte.
+def l1_weight_bytes(spec: LayerSpec, c_t, k_t, target: str):
+    """Rule (a): int8 bytes of one ``c_t`` x ``k_t`` weight tile in L1.
 
-    The tail byte is zero-padded. Code 0b11 is unused (reads back 0).
+    ``(c_t if depthwise else k_t * c_t) * fy * fx`` (FC layers have
+    ``fy = fx = 1``); 0 for ``add`` and on the analog core, whose
+    ternary weights live inside the IMC macro.
     """
-    flat = np.asarray(values, dtype=np.int8).reshape(-1)
-    if flat.size and (flat.min() < -1 or flat.max() > 1):
-        raise CodegenError("pack_ternary: values outside {-1, 0, +1}")
-    codes = np.where(flat == -1, 0b10, np.where(flat == 1, 0b01, 0)).astype(np.uint8)
-    pad = (-len(codes)) % 4
-    if pad:
-        codes = np.concatenate([codes, np.zeros(pad, np.uint8)])
-    codes = codes.reshape(-1, 4)
-    packed = (codes[:, 0] | (codes[:, 1] << 2) | (codes[:, 2] << 4)
-              | (codes[:, 3] << 6))
-    return packed.astype(np.uint8)
+    if spec.kind == "add" or target == _ANALOG:
+        return 0
+    return (c_t if spec.is_depthwise else k_t * c_t) * spec.fy * spec.fx
 
 
-def unpack_ternary(packed: np.ndarray, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_ternary`; returns ``count`` int8 values."""
-    packed = np.asarray(packed, dtype=np.uint8)
-    codes = np.empty((packed.size, 4), dtype=np.uint8)
-    codes[:, 0] = packed & 0b11
-    codes[:, 1] = (packed >> 2) & 0b11
-    codes[:, 2] = (packed >> 4) & 0b11
-    codes[:, 3] = (packed >> 6) & 0b11
-    values = _TERNARY_VALUES[codes.reshape(-1)]
-    if count > values.size:
-        raise CodegenError("unpack_ternary: not enough packed data")
-    return values[:count]
+def macro_rows(spec: LayerSpec, c_t):
+    """Rule (b): analog macro rows a ``c_t``-channel reduction maps to.
 
-
-# ---------------------------------------------------------------------------
-# digital layout: (K, C, fy, fx) -> PE-blocked stream
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DigitalWeightImage:
-    """Weights laid out for the digital core's weight memory."""
-
-    data: np.ndarray            #: uint8 byte stream as stored in L2
-    shape: Tuple[int, ...]      #: original OIHW shape
-    k_block: int
-    c_block: int
-
-    @property
-    def nbytes(self) -> int:
-        return self.data.nbytes
-
-
-def layout_digital_weights(weight: np.ndarray, params: DianaParams
-                           ) -> DigitalWeightImage:
-    """Block OIHW weights into (K/16, C/16, fy, fx, 16, 16) order.
-
-    Partial blocks are zero-padded, so every weight-memory fill for a
-    16-aligned tile is a single contiguous burst. Dense (2D) weights
-    are treated as 1x1 convolutions.
+    The reduction dimension goes onto the rows: ``c_t`` for FC layers,
+    ``c_t * fy * fx`` for convolutions.
     """
-    w = np.asarray(weight, dtype=np.int8)
-    if w.ndim == 2:
-        w = w[:, :, None, None]
-    if w.ndim != 4:
-        raise CodegenError(f"unsupported weight rank {w.ndim}")
-    k, c, fy, fx = w.shape
-    kb, cb = params.dig_pe_cols, params.dig_pe_rows
-    kp = math.ceil(k / kb) * kb
-    cp = math.ceil(c / cb) * cb
-    padded = np.zeros((kp, cp, fy, fx), dtype=np.int8)
-    padded[:k, :c] = w
-    blocked = (padded
-               .reshape(kp // kb, kb, cp // cb, cb, fy, fx)
-               .transpose(0, 2, 4, 5, 1, 3))  # (Kb, Cb, fy, fx, 16, 16)
-    return DigitalWeightImage(
-        data=np.ascontiguousarray(blocked).view(np.uint8).reshape(-1),
-        shape=(k, c, fy, fx), k_block=kb, c_block=cb,
-    )
+    return c_t if spec.kind == "dense" else c_t * spec.fy * spec.fx
 
 
-def restore_digital_weights(image: DigitalWeightImage) -> np.ndarray:
-    """Invert :func:`layout_digital_weights` (drops the zero padding)."""
-    k, c, fy, fx = image.shape
-    kb, cb = image.k_block, image.c_block
-    kp = math.ceil(k / kb) * kb
-    cp = math.ceil(c / cb) * cb
-    blocked = (image.data.view(np.int8)
-               .reshape(kp // kb, cp // cb, fy, fx, kb, cb)
-               .transpose(0, 4, 1, 5, 2, 3)
-               .reshape(kp, cp, fy, fx))
-    return blocked[:k, :c].copy()
+def l2_weight_bytes(spec: LayerSpec, target: str,
+                    params: DianaParams) -> int:
+    """Rule (c): bytes of the layer's weights as stored in L2.
 
-
-# ---------------------------------------------------------------------------
-# analog layout: (K, C, fy, fx) ternary -> padded macro column image
-# ---------------------------------------------------------------------------
-
-@dataclass
-class AnalogWeightImage:
-    """Ternary weights laid out for the AiMC macro, as stored in L2."""
-
-    data: np.ndarray            #: packed uint8 stream
-    shape: Tuple[int, ...]      #: original OIHW (or KC) shape
-    rows: int                   #: used macro rows (C * fy * fx)
-    padded_rows: int            #: rows incl. zero padding
-
-    @property
-    def nbytes(self) -> int:
-        return self.data.nbytes
-
-
-def layout_analog_weights(weight: np.ndarray, spec: LayerSpec,
-                          params: DianaParams) -> AnalogWeightImage:
-    """Column-major, row-padded, 2-bit-packed macro image.
-
-    The padding rule matches
-    :meth:`repro.soc.analog.AnalogAccelerator.weight_storage_bytes`:
-    spatial convolutions pad the reduction rows to the full macro
-    height, pointwise/FC layers to the 288-row quadrant granularity —
-    "some layer dimensions require padding the L2 memory with zeros to
-    fill a part of the large IMC macro" (paper Sec. IV-C).
+    On the analog core the macro rows (rule b) are zero-padded to the
+    full macro height for spatial convolutions and to the quadrant
+    granularity for 1x1/FC layers, times K columns of 2-bit ternary
+    cells. Everywhere else: one int8 weight tile (rule a) at full
+    extents.
     """
-    w = np.asarray(weight, dtype=np.int8)
-    if w.ndim == 2:
-        w = w[:, :, None, None]
-    k, c, fy, fx = w.shape
-    rows = c * fy * fx
-    pad_to = (params.ana_row_pad_conv if fy * fx > 1
-              else params.ana_row_pad_pw)
-    padded_rows = math.ceil(rows / pad_to) * pad_to
-    # column-major: all rows of output channel 0, then channel 1, ...
-    columns = np.zeros((k, padded_rows), dtype=np.int8)
-    columns[:, :rows] = w.reshape(k, rows)
-    return AnalogWeightImage(
-        data=pack_ternary(columns.reshape(-1)),
-        shape=(k, c, fy, fx), rows=rows, padded_rows=padded_rows,
-    )
+    if target != _ANALOG:
+        return l1_weight_bytes(spec, spec.in_channels, spec.out_channels,
+                               target)
+    if spec.kind == "add":
+        return 0
+    pad = (params.ana_row_pad_conv
+           if spec.kind == "conv2d" and spec.fy * spec.fx > 1
+           else params.ana_row_pad_pw)
+    padded = -(-macro_rows(spec, spec.in_channels) // pad) * pad
+    return (padded * spec.out_channels * 2 + 7) // 8
 
 
-def restore_analog_weights(image: AnalogWeightImage) -> np.ndarray:
-    """Invert :func:`layout_analog_weights` (drops the row padding)."""
-    k, c, fy, fx = image.shape
-    total = k * image.padded_rows
-    columns = unpack_ternary(image.data, total).reshape(k, image.padded_rows)
-    return columns[:, :image.rows].reshape(k, c, fy, fx).copy()
-
-
-def weight_image_for(spec: LayerSpec, target: str,
-                     params: DianaParams):
-    """The L2 weight image of a layer for its dispatch target."""
-    if spec.weight is None:
-        raise CodegenError(f"{spec.name}: layer has no weights")
-    if target == "soc.analog":
-        return layout_analog_weights(spec.weight, spec, params)
-    return layout_digital_weights(spec.weight, params)
+def fits_weight_memory(w_b, target: str, params: DianaParams):
+    """Rule (d): does a weight tile of ``w_b`` bytes fit the core's
+    weight memory? Only the digital core has a private one."""
+    if target != _DIGITAL:
+        return True
+    return w_b <= params.dig_weight_bytes

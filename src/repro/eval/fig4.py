@@ -54,6 +54,7 @@ class Fig4Point:
     needs_tiling: Optional[bool] = None
     tile: Optional[str] = None
     verified: Optional[bool] = None  #: functional check result (if run)
+    l1_bytes: Optional[int] = None   #: nominal tile footprint (Eq. 2 LHS)
 
 
 def _verify_point(accel, spec: LayerSpec, sol, exec_mode: str) -> bool:
@@ -129,6 +130,7 @@ def sweep(layers: Optional[Sequence[LayerSpec]] = None,
             verified=(_verify_point(accel, spec, sol, exec_mode)
                       if verify and spec.kind in ("conv2d", "dwconv2d")
                       else None),
+            l1_bytes=sol.l1_total_bytes,
         )
 
     tasks = [(spec, strat, budget) for spec in layers

@@ -27,9 +27,3 @@ def fmt_ms(value: Optional[float]) -> Optional[str]:
     if value is None:
         return None
     return f"{value:.2f}"
-
-
-def fmt_ratio(ours: Optional[float], paper: Optional[float]) -> Optional[str]:
-    if ours is None or paper is None or paper == 0:
-        return None
-    return f"{ours / paper:.2f}x"

@@ -18,7 +18,7 @@ from .op import OpDef, all_ops, conv2d_output_hw, get_op, register_op
 from .node import Call, Composite, Constant, Node, Var
 from .graph import Graph
 from .builder import GraphBuilder
-from .printer import graph_to_text, summarize
+from .printer import graph_to_text
 from .serialization import (
     decode_array, encode_array, graph_digest, graph_from_dict, graph_to_dict,
     load_graph, save_graph,
@@ -31,7 +31,7 @@ __all__ = [
     "ConstantTensor", "TensorType", "random_constant",
     "OpDef", "all_ops", "conv2d_output_hw", "get_op", "register_op",
     "Call", "Composite", "Constant", "Node", "Var",
-    "Graph", "GraphBuilder", "graph_to_text", "summarize",
+    "Graph", "GraphBuilder", "graph_to_text",
     "decode_array", "encode_array", "graph_digest",
     "graph_from_dict", "graph_to_dict", "load_graph", "save_graph",
     "graph_to_dot", "save_dot",

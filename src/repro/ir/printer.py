@@ -56,19 +56,3 @@ def graph_to_text(graph: Graph, indent: str = "") -> str:
     lines.append(f"{indent}}}")
     return "\n".join(lines)
 
-
-def summarize(graph: Graph) -> str:
-    """One-line-per-layer summary with MAC and weight accounting."""
-    lines = [f"graph {graph.name}: {graph.total_macs()/1e6:.2f} MMAC, "
-             f"{graph.weight_bytes()/1024:.1f} kB weights"]
-    for node in graph.topo_order():
-        if isinstance(node, Composite):
-            lines.append(
-                f"  composite {node.pattern_name:<28} target={node.target:<12}"
-                f" out={node.ttype} macs={node.macs()}"
-            )
-        elif isinstance(node, Call) and node.op in ("nn.conv2d", "nn.dense"):
-            lines.append(
-                f"  {node.op:<38} out={node.ttype} macs={node.macs()}"
-            )
-    return "\n".join(lines)

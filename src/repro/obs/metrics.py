@@ -28,7 +28,7 @@ from __future__ import annotations
 import bisect
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
@@ -338,9 +338,3 @@ def merged_snapshot(
     if extra:
         snap["subsystems"].update(extra)
     return snap
-
-
-def observe_many(pairs: List[Tuple[Histogram, float]]) -> None:
-    """Convenience for batched publication (keeps call sites terse)."""
-    for hist, value in pairs:
-        hist.observe(value)

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..dory.layer_spec import LayerSpec
 from ..dory.tiling_types import Tile
+from ..dory.weights import macro_rows
 from ..errors import SimulationError
 from .. import numerics as K
 from .accelerator import MacAccelerator, out_range
@@ -57,15 +58,9 @@ class AnalogAccelerator(MacAccelerator):
 
     # -- mapping ----------------------------------------------------------------
 
-    def mapped_rows(self, spec: LayerSpec, c_t: int) -> int:
-        """Macro rows consumed by a (partial) reduction of ``c_t`` channels."""
-        if spec.kind == "dense":
-            return c_t
-        return c_t * spec.fy * spec.fx
-
     def row_blocks(self, spec: LayerSpec, c_t: int) -> int:
         """Macro reloads needed when the reduction exceeds 1152 rows."""
-        return math.ceil(self.mapped_rows(spec, c_t) / self.params.ana_rows)
+        return math.ceil(macro_rows(spec, c_t) / self.params.ana_rows)
 
     def col_blocks(self, k_t: int) -> int:
         return math.ceil(k_t / self.params.ana_cols)
@@ -94,27 +89,9 @@ class AnalogAccelerator(MacAccelerator):
                 blocks *= (t.oy1 - t.oy0) * (t.ox1 - t.ox0)
             pixels += blocks
         return {
-            "macro_row": (self.mapped_rows(spec, spec.in_channels)
+            "macro_row": (macro_rows(spec, spec.in_channels)
                           * self.col_blocks(spec.out_channels)),
             "macro_pixel": pixels, "ana_job": len(tiles)}
-
-    def weight_storage_bytes(self, spec: LayerSpec) -> int:
-        """L2 bytes of the layer's ternary weights, with macro padding.
-
-        Spatial convolutions pad the reduction rows to the full macro
-        height; 1x1/FC layers use a quadrant-granular layout (see
-        DESIGN.md for the calibration discussion).
-        """
-        p = self.params
-        if spec.kind == "add":
-            return 0
-        rows = self.mapped_rows(spec, spec.in_channels)
-        pad = (p.ana_row_pad_conv
-               if (spec.kind == "conv2d" and spec.fy * spec.fx > 1)
-               else p.ana_row_pad_pw)
-        padded = math.ceil(rows / pad) * pad
-        # 2-bit packed ternary cells
-        return (padded * spec.out_channels * 2 + 7) // 8
 
     # -- functional model -----------------------------------------------------------
 
@@ -145,7 +122,7 @@ class AnalogAccelerator(MacAccelerator):
         acc = self.accumulate(spec, x, w, padding)
         if bias is not None:
             acc = K.bias_add(acc, bias, axis=1)
-        rows = self.mapped_rows(spec, spec.in_channels)
+        rows = macro_rows(spec, spec.in_channels)
         noise = rng.normal(0.0, noise_sigma * math.sqrt(rows), acc.shape)
         acc = acc + np.rint(noise).astype(np.int32)
         return K.requantize(acc, spec.shift, spec.relu, *out_range(spec))

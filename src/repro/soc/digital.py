@@ -25,6 +25,7 @@ from typing import Dict, Sequence, Tuple
 
 from ..dory.layer_spec import LayerSpec
 from ..dory.tiling_types import Tile
+from ..dory.weights import l1_weight_bytes
 from ..errors import SimulationError
 from .accelerator import MacAccelerator
 
@@ -109,7 +110,7 @@ class DigitalAccelerator(MacAccelerator):
         Every tile is one job (trigger + handshake + drain) of
         :meth:`passes`. Weights stream: each change of the (K, C) block
         refills the weight memory with one weight-path DMA job of the
-        block's int8 weights (FC layers have ``fy = fx = 1``).
+        block's int8 weight tile.
         """
         busy = w_jobs = w_bytes = 0
         block = None
@@ -120,8 +121,7 @@ class DigitalAccelerator(MacAccelerator):
             if (tile.k0, tile.c0) != block:
                 block = (tile.k0, tile.c0)
                 w_jobs += 1
-                w_bytes += ((c_t if spec.is_depthwise else k_t * c_t)
-                            * spec.fy * spec.fx)
+                w_bytes += l1_weight_bytes(spec, c_t, k_t, self.name)
         counts = {self.pass_events[spec.kind]: busy, "dig_job": len(tiles)}
         if spec.kind != "add":
             counts.update(weight_job=w_jobs, weight_byte=w_bytes)

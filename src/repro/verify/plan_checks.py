@@ -18,6 +18,7 @@ import numpy as np
 from ..core.program import AccelStep, CompiledModel, CpuKernelStep
 from ..dory.tiler import _l1_bytes
 from ..dory.tiling_types import tiles_of
+from ..dory.weights import fits_weight_memory
 from ..soc.params import DianaParams
 from .diagnostics import Diagnostic, error
 
@@ -154,19 +155,11 @@ def _check_l1(step: AccelStep, params: DianaParams,
             f"recorded per-tile bytes {recorded} disagree with the "
             f"re-derived (in, out, weight) = ({in_b}, {out_b}, {w_b}) — "
             "the cost model would price the wrong DMA stream", step.name))
-    if step.accel_target == "soc.digital" and spec.kind != "add":
-        cfg = sol.cfg
-        if spec.kind == "dense":
-            w_tile = cfg.k_t * cfg.c_t
-        elif spec.kind == "dwconv2d":
-            w_tile = cfg.c_t * spec.fy * spec.fx
-        else:
-            w_tile = cfg.k_t * cfg.c_t * spec.fy * spec.fx
-        if w_tile > params.dig_weight_bytes:
-            diags.append(error(
-                "V-PLAN-007", _STAGE,
-                f"weight tile {w_tile} B exceeds the digital weight "
-                f"memory ({params.dig_weight_bytes} B)", step.name))
+    if not fits_weight_memory(w_b, step.accel_target, params):
+        diags.append(error(
+            "V-PLAN-007", _STAGE,
+            f"weight tile {w_b} B exceeds the digital weight "
+            f"memory ({params.dig_weight_bytes} B)", step.name))
 
 
 def check_compiled_plan(compiled: CompiledModel,

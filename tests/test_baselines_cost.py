@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.baselines import compare_heuristics, compile_tvm_cpu, solve_naive
+from repro.baselines import compile_tvm_cpu
 from repro.dory import DoryTiler, digital_heuristics, make_conv_spec, make_dense_spec
 from repro.errors import OutOfMemoryError
+from repro.eval import fig4
 from repro.frontend.modelzoo import mobilenet_v1, resnet8
 from repro.runtime.cost import cost_layer
 from repro.soc import DEFAULT_PARAMS, PerfCounters, get_platform
@@ -27,23 +28,35 @@ class TestTvmCpuBaseline:
 
 
 class TestNaiveTiling:
+    """The hardware-agnostic baseline is Fig. 4's ``baseline`` strategy."""
+
+    @staticmethod
+    def _speedups(spec, budgets_kb):
+        points = fig4.sweep(layers=[spec], strategies=["baseline", "full"],
+                            budgets=[kb * 1024 for kb in budgets_kb])
+        cycles = {(p.strategy, p.budget_bytes): p.cycles for p in points}
+        return [cycles["baseline", kb * 1024] / cycles["full", kb * 1024]
+                for kb in budgets_kb]
+
     def test_solve_naive_respects_budget(self):
         spec = make_conv_spec("c", 64, 64, 32, 32, padding=(1, 1))
-        sol = solve_naive(spec, 16 * 1024)
-        assert sol.l1_total_bytes <= 16 * 1024
+        (point,) = fig4.sweep(layers=[spec], strategies=["baseline"],
+                              budgets=[16 * 1024])
+        assert point.cycles is not None
+        assert point.l1_bytes <= 16 * 1024
 
     def test_comparison_structure(self):
         spec = make_conv_spec("c", 64, 128, 32, 32, padding=(1, 1))
-        cmp = compare_heuristics(spec, 12 * 1024)
-        assert cmp.naive_cycles > 0 and cmp.heuristic_cycles > 0
-        assert cmp.speedup >= 0.9  # heuristics never notably worse
+        points = fig4.sweep(layers=[spec], strategies=["baseline", "full"],
+                            budgets=[12 * 1024])
+        assert all(p.cycles > 0 for p in points)
+        (speedup,) = self._speedups(spec, [12])
+        assert speedup >= 0.9  # heuristics never notably worse
 
     def test_speedup_exists_at_awkward_budget(self):
         # sweep budgets; heuristics must win somewhere (Fig. 4 claim)
         spec = make_conv_spec("L3", 64, 128, 32, 32, padding=(1, 1))
-        best = max(compare_heuristics(spec, kb * 1024).speedup
-                   for kb in (12, 8, 6, 4, 3))
-        assert best > 1.2
+        assert max(self._speedups(spec, [12, 8, 6, 4, 3])) > 1.2
 
 
 class TestCostAccounting:

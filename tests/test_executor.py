@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.compiler import compile_model
 from repro.core.config import HTVM, TVM_CPU
-from repro.dory import TileConfig, TilingSolution
+from repro.dory import TileConfig, TilingSolution, macro_rows
 from repro.dory.layer_spec import make_conv_spec
 from repro.errors import SimulationError
 from repro.frontend.modelzoo import resnet8
@@ -309,7 +309,7 @@ class TestAnalogExecution:
         assert rec.num_tiles > 1
         accel = soc.accelerator("soc.analog")
         spec = model.steps[0].spec
-        rows = accel.mapped_rows(spec, 16) * accel.col_blocks(16)
+        rows = macro_rows(spec, 16) * accel.col_blocks(16)
         assert rec.counts["macro_row"] == rows
         expected = price({"macro_row": rows}, soc.params)["weight_dma"]
         assert rec.cycles["weight_dma"] == pytest.approx(expected)

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import IRError
 from repro.ir import (
     Call, Composite, Constant, ConstantTensor, Graph, GraphBuilder, Node,
-    TensorType, Var, graph_to_text, summarize,
+    TensorType, Var, graph_to_text,
 )
 from helpers import build_small_cnn
 
@@ -143,10 +143,6 @@ class TestPrinter:
         assert "nn.conv2d" in text
         assert "fn small_cnn" in text
         assert "return" in text
-
-    def test_summarize(self, small_cnn):
-        s = summarize(small_cnn)
-        assert "MMAC" in s and "kB weights" in s
 
     def test_partitioned_graph_prints_bodies(self, small_cnn):
         from repro.patterns import default_specs, partition

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro import numerics as K
-from repro.dory import make_conv_spec, make_dense_spec
+from repro.dory import (
+    l2_weight_bytes, macro_rows, make_conv_spec, make_dense_spec,
+)
 from repro.dory.tiling_types import TileConfig, tiles_of
 from repro.errors import OutOfMemoryError, SimulationError
 from repro.ir import GraphBuilder
@@ -113,7 +115,7 @@ class TestAnalog:
     def test_mapping(self, analog):
         spec = make_conv_spec("c", 64, 64, 16, 16, padding=(1, 1),
                               weight_dtype="ternary")
-        assert analog.mapped_rows(spec, 64) == 64 * 9
+        assert macro_rows(spec, 64) == 64 * 9
         assert analog.row_blocks(spec, 64) == 1
         assert analog.col_blocks(600) == 2
 
@@ -150,11 +152,13 @@ class TestAnalog:
         # 3x3 conv rows pad to the full macro height
         spec = make_conv_spec("c", 16, 16, 8, 8, padding=(1, 1),
                               weight_dtype="ternary")
-        assert analog.weight_storage_bytes(spec) == 1152 * 16 * 2 // 8
+        assert (l2_weight_bytes(spec, analog.name, analog.params)
+                == 1152 * 16 * 2 // 8)
         # pointwise pads to 288 rows
         pw = make_conv_spec("pw", 16, 16, 8, 8, fy=1, fx=1,
                             weight_dtype="ternary")
-        assert analog.weight_storage_bytes(pw) == 288 * 16 * 2 // 8
+        assert (l2_weight_bytes(pw, analog.name, analog.params)
+                == 288 * 16 * 2 // 8)
 
     def test_noise_injection_changes_results(self, analog):
         rng = np.random.default_rng(0)

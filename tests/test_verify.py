@@ -207,6 +207,25 @@ class TestPlanChecks:
             compiled, params=soc.params, l1_budget=1)]
         assert "V-PLAN-005" in codes
 
+    def test_recorded_weight_tile_disagrees(self):
+        compiled, soc, cfg = _compile_cell("resnet", "digital")
+        step = next(s for s in compiled.steps
+                    if isinstance(s, AccelStep) and s.spec.kind == "conv2d")
+        # a copy: tiling solutions are shared through the tiling cache
+        step.tiling = dataclasses.replace(
+            step.tiling, l1_weight_bytes=step.tiling.l1_weight_bytes + 1)
+        codes = [d.code for d in check_compiled_plan(compiled,
+                                                     params=soc.params)]
+        assert codes == ["V-PLAN-006"]
+
+    def test_weight_tile_exceeds_weight_memory(self):
+        compiled, soc, cfg = _compile_cell("resnet", "digital")
+        # one byte below layer_10's 36,864-byte weight tile
+        params = soc.params.with_overrides(dig_weight_bytes=36863)
+        diags = check_compiled_plan(compiled, params=params)
+        assert [(d.code, d.location) for d in diags] == [
+            ("V-PLAN-007", "step10_dory_layer_10")]
+
     def test_unknown_accelerator_target(self):
         compiled, soc, cfg = _compile_cell("resnet", "digital")
         codes = [d.code for d in check_compiled_plan(compiled,

@@ -1,137 +1,152 @@
-"""Weight layout / packing tests, incl. round-trip properties."""
+"""Weight-byte rules: padding and sizes, and one owner per rule."""
+
+import ast
+import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.dory import (
-    layout_analog_weights, layout_digital_weights, make_conv_spec,
-    make_dense_spec, pack_ternary, restore_analog_weights,
-    restore_digital_weights, unpack_ternary, weight_image_for,
+    LayerSpec, fits_weight_memory, l1_weight_bytes,
+    l2_weight_bytes, macro_rows, make_conv_spec, make_dense_spec,
 )
-from repro.errors import CodegenError
 from repro.soc import DEFAULT_PARAMS
 
 
-class TestTernaryPacking:
-    def test_basic_roundtrip(self):
-        values = np.array([-1, 0, 1, 1, 0, -1, -1], dtype=np.int8)
-        packed = pack_ternary(values)
-        assert packed.nbytes == 2  # 7 values -> 2 bytes
-        np.testing.assert_array_equal(unpack_ternary(packed, 7), values)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(CodegenError):
-            pack_ternary(np.array([2], dtype=np.int8))
-
-    def test_density(self):
-        packed = pack_ternary(np.zeros(1000, dtype=np.int8))
-        assert packed.nbytes == 250
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 500))
-    def test_property_roundtrip(self, seed, count):
-        rng = np.random.default_rng(seed)
-        values = rng.integers(-1, 2, count).astype(np.int8)
-        np.testing.assert_array_equal(
-            unpack_ternary(pack_ternary(values), count), values)
-
-    def test_insufficient_data_raises(self):
-        with pytest.raises(CodegenError):
-            unpack_ternary(np.zeros(1, np.uint8), 10)
-
-
-class TestDigitalLayout:
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 40), st.integers(1, 40),
-           st.sampled_from([1, 3, 5]), st.integers(0, 2 ** 31 - 1))
-    def test_property_roundtrip(self, k, c, f, seed):
-        rng = np.random.default_rng(seed)
-        w = rng.integers(-128, 128, (k, c, f, f)).astype(np.int8)
-        image = layout_digital_weights(w, DEFAULT_PARAMS)
-        np.testing.assert_array_equal(restore_digital_weights(image), w)
-
-    def test_padding_to_pe_blocks(self):
-        w = np.ones((10, 10, 3, 3), dtype=np.int8)
-        image = layout_digital_weights(w, DEFAULT_PARAMS)
-        # padded to 16x16 blocks
-        assert image.nbytes == 16 * 16 * 9
-
-    def test_aligned_no_padding(self):
-        w = np.ones((16, 32, 1, 1), dtype=np.int8)
-        image = layout_digital_weights(w, DEFAULT_PARAMS)
-        assert image.nbytes == 16 * 32
-
-    def test_dense_as_1x1(self):
-        w = np.arange(64, dtype=np.int8).reshape(8, 8)
-        image = layout_digital_weights(w, DEFAULT_PARAMS)
-        restored = restore_digital_weights(image)
-        np.testing.assert_array_equal(restored[:, :, 0, 0], w)
-
-    def test_blocked_burst_is_contiguous(self):
-        # block (0, 0) of an aligned layout is the first 16x16 bytes
-        w = np.zeros((32, 32, 1, 1), dtype=np.int8)
-        w[:16, :16, 0, 0] = 7
-        image = layout_digital_weights(w, DEFAULT_PARAMS)
-        first_block = image.data[:16 * 16].view(np.int8)
-        assert (first_block == 7).all()
+def _ternary(c, k, f):
+    pad = (1, 1) if f == 3 else (0, 0)
+    return make_conv_spec("t", c, k, 8, 8, fy=f, fx=f, padding=pad,
+                          weight_dtype="ternary")
 
 
 class TestAnalogLayout:
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 30), st.integers(1, 40),
-           st.sampled_from([1, 3]), st.integers(0, 2 ** 31 - 1))
-    def test_property_roundtrip(self, k, c, f, seed):
-        rng = np.random.default_rng(seed)
-        w = rng.integers(-1, 2, (k, c, f, f)).astype(np.int8)
-        spec = make_conv_spec("t", c, k, 8, 8,
-                              fy=f, fx=f, padding=(1, 1) if f == 3 else (0, 0),
-                              weight_dtype="ternary")
-        image = layout_analog_weights(w, spec, DEFAULT_PARAMS)
-        np.testing.assert_array_equal(restore_analog_weights(image), w)
-
     def test_conv_pads_to_full_macro(self):
-        w = np.zeros((16, 16, 3, 3), dtype=np.int8)
-        spec = make_conv_spec("t", 16, 16, 8, 8, padding=(1, 1),
-                              weight_dtype="ternary")
-        image = layout_analog_weights(w, spec, DEFAULT_PARAMS)
-        assert image.padded_rows == DEFAULT_PARAMS.ana_row_pad_conv
-        assert image.nbytes == 1152 * 16 * 2 // 8
+        spec = _ternary(16, 16, 3)
+        assert macro_rows(spec, 16) == 16 * 9
+        assert (l2_weight_bytes(spec, "soc.analog", DEFAULT_PARAMS)
+                == DEFAULT_PARAMS.ana_row_pad_conv * 16 * 2 // 8
+                == 1152 * 16 * 2 // 8)
 
     def test_pw_pads_to_quadrant(self):
-        w = np.zeros((16, 16, 1, 1), dtype=np.int8)
-        spec = make_conv_spec("t", 16, 16, 8, 8, fy=1, fx=1,
-                              weight_dtype="ternary")
-        image = layout_analog_weights(w, spec, DEFAULT_PARAMS)
-        assert image.padded_rows == DEFAULT_PARAMS.ana_row_pad_pw
+        assert (l2_weight_bytes(_ternary(16, 16, 1), "soc.analog",
+                                DEFAULT_PARAMS)
+                == DEFAULT_PARAMS.ana_row_pad_pw * 16 * 2 // 8
+                == 288 * 16 * 2 // 8)
+
+    def test_dense_pads_to_quadrant(self):
+        fc = make_dense_spec("fc", 640, 10, weight_dtype="ternary")
+        assert macro_rows(fc, 640) == 640
+        assert (l2_weight_bytes(fc, "soc.analog", DEFAULT_PARAMS)
+                == 864 * 10 * 2 // 8)
 
     def test_matches_size_model(self):
-        """The byte stream must equal the binary-size model's account."""
-        from repro.soc import AnalogAccelerator
-        accel = AnalogAccelerator(DEFAULT_PARAMS)
-        for c, k, f in ((16, 16, 3), (64, 32, 1), (7, 5, 3)):
-            pad = (1, 1) if f == 3 else (0, 0)
-            spec = make_conv_spec("t", c, k, 8, 8, fy=f, fx=f, padding=pad,
-                                  weight_dtype="ternary")
-            w = np.zeros((k, c, f, f), dtype=np.int8)
-            image = layout_analog_weights(w, spec, DEFAULT_PARAMS)
-            assert image.nbytes == accel.weight_storage_bytes(spec)
+        for c, k, f, padded_rows in ((16, 16, 3, 1152), (64, 32, 1, 288),
+                                     (7, 5, 3, 1152), (300, 8, 1, 576),
+                                     (200, 4, 3, 2304)):
+            assert (l2_weight_bytes(_ternary(c, k, f), "soc.analog",
+                                    DEFAULT_PARAMS)
+                    == (padded_rows * k * 2 + 7) // 8)
+
+    def test_weights_live_in_the_macro_not_l1(self):
+        assert l1_weight_bytes(_ternary(64, 64, 3), 64, 64, "soc.analog") == 0
+
+    def test_ternary_is_smaller_than_int8(self):
+        # 2-bit cells beat int8 even with the macro row padding
+        ana = l2_weight_bytes(_ternary(64, 64, 3), "soc.analog",
+                              DEFAULT_PARAMS)
+        dig = l2_weight_bytes(make_conv_spec("t", 64, 64, 8, 8,
+                                             padding=(1, 1)),
+                              "soc.digital", DEFAULT_PARAMS)
+        assert ana < dig
 
 
-class TestWeightImageFor:
-    def test_dispatch_by_target(self):
-        rng = np.random.default_rng(0)
-        spec = make_conv_spec("t", 64, 64, 8, 8, padding=(1, 1),
-                              weight_dtype="ternary")
-        spec.weight = rng.integers(-1, 2, (64, 64, 3, 3)).astype(np.int8)
-        ana = weight_image_for(spec, "soc.analog", DEFAULT_PARAMS)
-        dig_spec = make_conv_spec("t", 64, 64, 8, 8, padding=(1, 1))
-        dig_spec.weight = rng.integers(-128, 128,
-                                       (64, 64, 3, 3)).astype(np.int8)
-        dig = weight_image_for(dig_spec, "soc.digital", DEFAULT_PARAMS)
-        assert ana.nbytes < dig.nbytes  # 2-bit vs 8-bit (plus padding rules)
+class TestDigitalLayout:
+    """Off the analog core L2 holds the int8 weights unpadded."""
 
-    def test_missing_weights_raise(self):
-        spec = make_dense_spec("fc", 8, 8)
-        with pytest.raises(CodegenError):
-            weight_image_for(spec, "soc.digital", DEFAULT_PARAMS)
+    def test_aligned_no_padding(self):
+        spec = make_conv_spec("pw", 32, 16, 8, 8, fy=1, fx=1)
+        assert l2_weight_bytes(spec, "soc.digital", DEFAULT_PARAMS) == 16 * 32
+
+    def test_dense_as_1x1(self):
+        fc = make_dense_spec("fc", 8, 8)
+        pw = make_conv_spec("pw", 8, 8, 4, 4, fy=1, fx=1)
+        assert (l1_weight_bytes(fc, 8, 8, "soc.digital")
+                == l1_weight_bytes(pw, 8, 8, "soc.digital") == 64)
+
+    @pytest.mark.parametrize("spec,shape", [
+        (make_conv_spec("c", 10, 10, 8, 8, padding=(1, 1)), (10, 10, 3, 3)),
+        (make_conv_spec("dw", 64, 64, 8, 8, padding=(1, 1), depthwise=True),
+         (64, 1, 3, 3)),
+        (make_dense_spec("fc", 640, 128), (128, 640)),
+    ])
+    def test_l2_bytes_equal_the_weight_tensor(self, spec, shape):
+        for target in ("soc.digital", "my.plugin"):
+            assert (l2_weight_bytes(spec, target, DEFAULT_PARAMS)
+                    == int(np.prod(shape)))
+
+    def test_add_has_no_weights(self):
+        spec = LayerSpec("a", "add", 8, 8, iy=8, ix=8, oy=8, ox=8)
+        for target in ("soc.digital", "soc.analog"):
+            assert l2_weight_bytes(spec, target, DEFAULT_PARAMS) == 0
+
+    def test_tile_rule_on_columns_matches_scalars(self):
+        spec = make_conv_spec("c", 64, 32, 16, 16, padding=(1, 1))
+        c = np.array([1, 8, 64], dtype=np.int64)
+        k = np.array([32, 16, 3], dtype=np.int64)
+        cols = l1_weight_bytes(spec, c, k, "soc.digital")
+        assert cols.tolist() == [l1_weight_bytes(spec, int(a), int(b),
+                                                 "soc.digital")
+                                 for a, b in zip(c, k)]
+
+
+class TestWeightMemory:
+    def test_only_the_digital_core_has_a_capacity(self):
+        cap = DEFAULT_PARAMS.dig_weight_bytes
+        assert fits_weight_memory(cap, "soc.digital", DEFAULT_PARAMS)
+        assert not fits_weight_memory(cap + 1, "soc.digital", DEFAULT_PARAMS)
+        assert fits_weight_memory(cap + 1, "soc.analog", DEFAULT_PARAMS)
+        cols = fits_weight_memory(np.array([cap, cap + 1]), "soc.digital",
+                                  DEFAULT_PARAMS)
+        assert cols.tolist() == [True, False]
+
+
+# -- one owner per rule -------------------------------------------------------
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+OWNERS = {"dory/weights.py", "soc/params.py"}
+PAD_FIELDS = {"ana_row_pad_conv", "ana_row_pad_pw"}
+#: factors that make a fy*fx product a MAC or pass count, not a weight size
+PIXEL_FACTORS = {"oy", "ox", "oy_t", "ox_t", "out_rows", "out_cols"}
+TILE_FACTORS = {"c_t", "k_t"}
+
+
+def _factors(node):
+    """Names and attribute names of one ``*`` product, flattened."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _factors(node.left) | _factors(node.right)
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_weight_rules_have_one_owner():
+    """Only ``dory/weights.py`` pads macro rows or forms a weight tile.
+
+    A weight-tile or macro-row product multiplies ``fy * fx`` by a
+    channel tile (``c_t`` / ``k_t``) and by no output-pixel extent.
+    """
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel in OWNERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in PAD_FIELDS:
+                offenders.append(f"{rel}:{node.lineno} .{node.attr}")
+            elif (isinstance(node, ast.BinOp)
+                  and isinstance(node.op, ast.Mult)):
+                names = _factors(node)
+                if ({"fy", "fx"} <= names and names & TILE_FACTORS
+                        and not names & PIXEL_FACTORS):
+                    offenders.append(f"{rel}:{node.lineno} fy*fx weight bytes")
+    assert not offenders, offenders
